@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
           SearchFastTopK(*world->index, *world->graph, es.sheet, exact_opts);
       SearchResult drop =
           SearchFastTopK(*world->index, *world->graph, es.sheet, drop_opts);
-      exact_agg.Add(exact.stats);
-      drop_agg.Add(drop.stats);
+      exact_agg.Add(exact.profile);
+      drop_agg.Add(drop.profile);
       const size_t n = std::min(exact.topk.size(), drop.topk.size());
       for (size_t i = 0; i < n; ++i) {
         max_score_delta =
@@ -83,10 +83,10 @@ int main(int argc, char** argv) {
     for (const datagen::GeneratedEs& es : workload.es) {
       with_agg.Add(SearchFastTopK(*world->index, *world->graph, es.sheet,
                                   with_cache)
-                       .stats);
+                       .profile);
       without_agg.Add(SearchFastTopK(*world->index, *world->graph, es.sheet,
                                      no_cache)
-                          .stats);
+                          .profile);
     }
     std::printf("(b) FASTTOPK with vs without a usable cache\n");
     TablePrinter tp({"variant", "FastTopK (ms)", "cache hits/ES",
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
                  TablePrinter::Num(static_cast<double>(a.cache_hits) /
                                        static_cast<double>(a.runs),
                                    1),
-                 TablePrinter::Num(static_cast<double>(a.critical_subs) /
+                 TablePrinter::Num(static_cast<double>(a.critical_subs_cached) /
                                        static_cast<double>(a.runs),
                                    1)});
     };
@@ -117,10 +117,10 @@ int main(int argc, char** argv) {
     for (const datagen::GeneratedEs& es : workload.es) {
       cheap_agg.Add(SearchFastTopK(*world->index, *world->graph, es.sheet,
                                    cheap_root)
-                        .stats);
+                        .profile);
       sig_agg.Add(SearchFastTopK(*world->index, *world->graph, es.sheet,
                                  sig_root)
-                      .stats);
+                      .profile);
     }
     std::printf("(c) join-tree rooting policy (affects sub-PJ sharing)\n");
     TablePrinter tp({"variant", "FastTopK (ms)", "cache hits/ES"});

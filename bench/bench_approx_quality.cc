@@ -26,18 +26,12 @@ namespace {
 using namespace s4;
 using namespace s4::bench;
 
-struct QualityAgg {
+struct QualityAgg : obs::SearchCounters {
   std::vector<double> latencies_ms;  // one per ES
   double recall_sum = 0.0;
   double tie_recall_sum = 0.0;
   int64_t recall_runs = 0;
   int64_t max_displacement = 0;
-  int64_t approx_sampled = 0;
-  int64_t approx_skipped = 0;
-  int64_t approx_escalated = 0;
-  int64_t approx_samples = 0;
-  int64_t queries_evaluated = 0;
-  double eval_seconds = 0.0;
 
   double P50Ms() {
     if (latencies_ms.empty()) return 0.0;
@@ -151,8 +145,7 @@ int main(int argc, char** argv) {
       const double ms = 1e3 * timer.ElapsedSeconds();
       if (rep == 0) {
         best_ms = ms;
-        exact_agg.queries_evaluated += r.stats.queries_evaluated;
-        exact_agg.eval_seconds += r.stats.eval_seconds;
+        exact_agg.Accumulate(r.profile);
         exact[i] = std::move(r);
       } else {
         best_ms = std::min(best_ms, ms);
@@ -163,7 +156,7 @@ int main(int argc, char** argv) {
   const double exact_p50 = exact_agg.P50Ms();
   JsonMetric("exact", "p50_ms", exact_p50);
   JsonMetric("exact", "queries_evaluated",
-             static_cast<double>(exact_agg.queries_evaluated));
+             static_cast<double>(exact_agg.candidates_evaluated));
   JsonMetric("exact", "eval_ms_total", 1e3 * exact_agg.eval_seconds);
 
   struct Config {
@@ -219,12 +212,7 @@ int main(int argc, char** argv) {
         }
       }
       agg.latencies_ms.push_back(best_ms);
-      agg.approx_sampled += r.stats.approx_sampled;
-      agg.approx_skipped += r.stats.approx_skipped;
-      agg.approx_escalated += r.stats.approx_escalated;
-      agg.approx_samples += r.stats.approx_samples;
-      agg.queries_evaluated += r.stats.queries_evaluated;
-      agg.eval_seconds += r.stats.eval_seconds;
+      agg.Accumulate(r.profile);
       ScoreAgainstExact(prep->ctx, options.score.alpha, exact[i].topk,
                         r.topk, &agg);
       if (std::getenv("S4_BENCH_APPROX_DIAG") != nullptr &&
@@ -294,7 +282,7 @@ int main(int argc, char** argv) {
     JsonMetric(section, "approx_samples",
                static_cast<double>(agg.approx_samples));
     JsonMetric(section, "queries_evaluated",
-               static_cast<double>(agg.queries_evaluated));
+               static_cast<double>(agg.candidates_evaluated));
     JsonMetric(section, "eval_ms_total", 1e3 * agg.eval_seconds);
 
     if (smoke && cfg.epsilon == 0.0 && agg.Recall() != 1.0) {

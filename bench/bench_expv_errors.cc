@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     int64_t top1_n = 0;
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
-      base_agg.Add(RunBaseline(prep, options).stats);
+      base_agg.Add(RunBaseline(prep, options).profile);
       SearchResult fast = RunFastTopK(prep, options);
-      fast_agg.Add(fast.stats);
+      fast_agg.Add(fast.profile);
       if (!fast.topk.empty()) {
         top1 += fast.topk[0].score;
         ++top1_n;

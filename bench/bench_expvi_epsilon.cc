@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       SearchResult r = RunFastTopK(prep, options);
-      agg.Add(r.stats);
-      batches += r.stats.batches;
+      agg.Add(r.profile);
+      batches += r.profile.batches;
     }
     tp.AddRow({TablePrinter::Num(eps, 1),
                TablePrinter::Num(agg.AvgTotalMs(), 3),
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                                      static_cast<double>(agg.runs),
                                  2),
                TablePrinter::Num(agg.AvgEvaluated(), 1),
-               TablePrinter::Num(static_cast<double>(agg.skipped) /
+               TablePrinter::Num(static_cast<double>(agg.skipped_by_condition) /
                                      static_cast<double>(agg.runs),
                                  1)});
   }

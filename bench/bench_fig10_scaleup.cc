@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       SearchResult r = RunFastTopK(prep, options);
-      agg.Add(r.stats);
-      postings += r.stats.counters.postings_scanned;
+      agg.Add(r.profile);
+      postings += r.profile.postings_scanned;
     }
     ta.AddRow({TablePrinter::Int(scale),
                TablePrinter::Int(world->db.FindTable("DimProduct")
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       SearchResult r = RunFastTopK(prep, options);
-      agg.Add(r.stats);
+      agg.Add(r.profile);
       hash_ops +=
-          r.stats.counters.hash_lookups + r.stats.counters.hash_inserts;
+          r.profile.hash_lookups + r.profile.hash_inserts;
     }
     tb.AddRow({TablePrinter::Int(scale),
                TablePrinter::Int(world->db.FindTable("DimProduct")

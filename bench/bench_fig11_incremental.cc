@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
           }
           SearchResult r = session.Search(*sheet, modes[m]);
           agg[m][step].seconds +=
-              r.stats.enum_seconds + r.stats.eval_seconds;
-          agg[m][step].row_evals += r.stats.query_row_evals;
+              r.profile.enum_seconds + r.profile.eval_seconds;
+          agg[m][step].row_evals += r.profile.query_row_evals;
           ++agg[m][step].runs;
           ++step;
         }

@@ -73,14 +73,14 @@ int main(int argc, char** argv) {
     for (size_t i : workload.InBucket(bucket)) {
       and_agg.Add(SearchFastTopK(*world->index, *world->graph,
                                  workload.es[i].sheet, options)
-                      .stats);
+                      .profile);
       or_agg.Add(SearchOrSemantics(*world->index, *world->graph,
                                    workload.es[i].sheet, options)
-                     .stats);
+                     .profile);
       direct_agg.Add(SearchOrSemantics(*world->index, *world->graph,
                                        workload.es[i].sheet, options,
                                        OrStrategy::kDirect)
-                         .stats);
+                         .profile);
     }
     if (and_agg.runs == 0) continue;
     t12b.AddRow({datagen::EsBucketName(bucket), "AND",
@@ -107,21 +107,21 @@ int main(int argc, char** argv) {
   Agg naive_and, naive_or, fast_and, fast_or;
   for (const datagen::GeneratedEs& es : workload.es) {
     naive_and.Add(
-        SearchNaive(*world->index, *world->graph, es.sheet, options).stats);
+        SearchNaive(*world->index, *world->graph, es.sheet, options).profile);
     naive_or.Add(SearchOrSemantics(*world->index, *world->graph, es.sheet,
                                    options, OrStrategy::kNaive)
-                     .stats);
+                     .profile);
     fast_and.Add(
         SearchFastTopK(*world->index, *world->graph, es.sheet, options)
-            .stats);
+            .profile);
     fast_or.Add(SearchOrSemantics(*world->index, *world->graph, es.sheet,
                                   options, OrStrategy::kFastTopK)
-                    .stats);
+                    .profile);
   }
   auto row = [&](const char* strat, const char* sem, const Agg& a) {
     t13.AddRow({strat, sem,
                 TablePrinter::Num(
-                    static_cast<double>(a.queries_enumerated) /
+                    static_cast<double>(a.candidates_enumerated) /
                         static_cast<double>(a.runs),
                     1),
                 TablePrinter::Num(a.AvgEvaluated(), 1)});

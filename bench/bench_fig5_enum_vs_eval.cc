@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
     for (size_t i : members) {
       SearchResult r = SearchNaive(*world->index, *world->graph,
                                    workload.es[i].sheet, options);
-      if (r.stats.queries_evaluated == 0) continue;
-      enum_us += 1e6 * r.stats.enum_seconds;
-      eval_us += 1e6 * r.stats.eval_seconds;
-      queries += r.stats.queries_evaluated;
+      if (r.profile.candidates_evaluated == 0) continue;
+      enum_us += 1e6 * r.profile.enum_seconds;
+      eval_us += 1e6 * r.profile.eval_seconds;
+      queries += r.profile.candidates_evaluated;
     }
     if (queries == 0) continue;
     const double e = enum_us / static_cast<double>(queries);

@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
     const int b = static_cast<int>(workload.buckets[i]);
     PreparedSearch prep(*world->index, *world->graph, workload.es[i].sheet,
                         options);
-    cells[0][b].agg.Add(RunNaive(prep, options).stats);
-    cells[1][b].agg.Add(RunBaseline(prep, options).stats);
-    cells[2][b].agg.Add(RunFastTopK(prep, options).stats);
+    cells[0][b].agg.Add(RunNaive(prep, options).profile);
+    cells[1][b].agg.Add(RunBaseline(prep, options).profile);
+    cells[2][b].agg.Add(RunFastTopK(prep, options).profile);
   }
 
   std::printf("Figure 6: average execution time (ms)\n");
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                TablePrinter::Num(cells[1][b].agg.AvgRowEvals(), 1),
                TablePrinter::Num(cells[2][b].agg.AvgRowEvals(), 1),
                TablePrinter::Num(
-                   static_cast<double>(cells[0][b].agg.queries_enumerated) /
+                   static_cast<double>(cells[0][b].agg.candidates_enumerated) /
                        static_cast<double>(cells[0][b].agg.runs),
                    1)});
   }
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       PreparedSearch prep(*world->index, *world->graph,
                           workload.es[i].sheet, topt);
       SearchResult r = RunFastTopK(prep, topt);
-      eval_ms += r.stats.eval_seconds * 1e3;
+      eval_ms += r.profile.eval_seconds * 1e3;
       for (const ScoredQuery& sq : r.topk) checksum += sq.score;
     }
     if (threads == 1) serial_eval_ms = eval_ms;

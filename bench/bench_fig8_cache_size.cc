@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
       for (size_t i : members) {
         PreparedSearch prep(*world->index, *world->graph,
                             workload.es[i].sheet, options);
-        base_agg.Add(RunBaseline(prep, options).stats);
-        fast_agg.Add(RunFastTopK(prep, options).stats);
+        base_agg.Add(RunBaseline(prep, options).profile);
+        fast_agg.Add(RunFastTopK(prep, options).profile);
       }
       if (fast_agg.runs == 0) continue;
       tp.AddRow(
@@ -51,9 +51,10 @@ int main(int argc, char** argv) {
            TablePrinter::Num(static_cast<double>(fast_agg.cache_hits) /
                                  static_cast<double>(fast_agg.runs),
                              1),
-           TablePrinter::Num(static_cast<double>(fast_agg.critical_subs) /
-                                 static_cast<double>(fast_agg.runs),
-                             1)});
+           TablePrinter::Num(
+               static_cast<double>(fast_agg.critical_subs_cached) /
+                   static_cast<double>(fast_agg.runs),
+               1)});
       const std::string section = std::string("bucket=") +
                                   datagen::EsBucketName(bucket) +
                                   "/B_kib=" + std::to_string(kib);

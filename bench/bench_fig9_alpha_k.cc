@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
     for (size_t i : members) {
       PreparedSearch prep(*world->index, *world->graph,
                           workload.es[i].sheet, options);
-      base_agg->Add(RunBaseline(prep, options).stats);
-      fast_agg->Add(RunFastTopK(prep, options).stats);
+      base_agg->Add(RunBaseline(prep, options).profile);
+      fast_agg->Add(RunFastTopK(prep, options).profile);
     }
   };
 

@@ -2,16 +2,14 @@
 // cost model (Eq. 12) assumes to be constant-time: tokenization, posting
 // scans (Algorithm 1), hash-join evaluation, sub-PJ cache operations,
 // candidate enumeration and index building — plus a hand-rolled
-// build/probe comparison of the flat-arena SubQueryTable against the
-// legacy chained-hash layout it replaced.
+// build/probe measurement of the flat-arena SubQueryTable, single-key
+// Find against the batched FindBatch loop the evaluator runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "bench/bench_util.h"
 #include "cache/subquery_cache.h"
@@ -169,46 +167,14 @@ void BM_FullSearchFastTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSearchFastTopK);
 
-// --- flat-arena vs legacy SubQueryTable layout ------------------------
-
-// The pre-flat SubQueryTable layout, kept here as the comparison
-// reference: chained unordered_map with one heap-allocated vector per
-// scored key plus a separate zero-key set, with its original ByteSize
-// accounting.
-struct LegacyTable {
-  int32_t num_es_rows = 0;
-  std::unordered_map<int64_t, std::vector<double>> scored;
-  std::unordered_set<int64_t> zero;
-
-  const std::vector<double>* Find(int64_t key, bool* exists) const {
-    auto it = scored.find(key);
-    if (it != scored.end()) {
-      *exists = true;
-      return &it->second;
-    }
-    *exists = zero.count(key) > 0;
-    return nullptr;
-  }
-
-  size_t ByteSize() const {
-    constexpr size_t kNodeOverhead = 2 * sizeof(void*);
-    size_t bytes = sizeof(LegacyTable);
-    bytes += scored.bucket_count() * sizeof(void*);
-    bytes += scored.size() *
-             (kNodeOverhead + sizeof(int64_t) + sizeof(std::vector<double>) +
-              sizeof(double) * static_cast<size_t>(num_es_rows));
-    bytes += zero.bucket_count() * sizeof(void*);
-    bytes += zero.size() * (kNodeOverhead + sizeof(int64_t));
-    return bytes;
-  }
-};
+// --- flat-arena SubQueryTable build/probe ------------------------------
 
 // Build + probe microbenchmark over one (num_es_rows, hit-density)
 // configuration. Keys are spread over a 4x-wider space so probes mix
 // hits and misses at the requested density, like a join probe stream.
-void RunFlatVsLegacyConfig(int32_t num_es_rows, double density,
-                           int64_t num_keys, int64_t num_probes,
-                           TablePrinter* tp) {
+void RunFlatTableConfig(int32_t num_es_rows, double density,
+                        int64_t num_keys, int64_t num_probes,
+                        TablePrinter* tp) {
   const int64_t key_space = num_keys * 4;
   std::vector<int64_t> keys(static_cast<size_t>(num_keys));
   uint64_t state = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(num_es_rows);
@@ -221,19 +187,22 @@ void RunFlatVsLegacyConfig(int32_t num_es_rows, double density,
   for (int64_t i = 0; i < num_keys; ++i) {
     keys[i] = static_cast<int64_t>(next() % static_cast<uint64_t>(key_space));
   }
-  // Probe stream: `density` of the probes target stored keys.
+  // Probe stream: `density` of the probes target stored keys; the rest
+  // lie outside the key space and must miss.
   std::vector<int64_t> probes(static_cast<size_t>(num_probes));
+  int64_t expected_hits = 0;
   for (int64_t i = 0; i < num_probes; ++i) {
     if (static_cast<double>(next() % 1000) < density * 1000.0) {
       probes[i] = keys[next() % static_cast<uint64_t>(num_keys)];
+      ++expected_hits;
     } else {
       probes[i] = key_space + static_cast<int64_t>(
                                   next() % static_cast<uint64_t>(key_space));
     }
   }
 
-  // Build both layouts: every 8th key joins with all-zero scores.
-  WallTimer flat_build_timer;
+  // Build: every 8th key joins with all-zero scores.
+  WallTimer build_timer;
   SubQueryTable flat;
   flat.num_es_rows = num_es_rows;
   bool fresh = false;
@@ -247,30 +216,9 @@ void RunFlatVsLegacyConfig(int32_t num_es_rows, double density,
   }
   flat.ShrinkToFit();
   const double flat_build_ns =
-      flat_build_timer.ElapsedSeconds() * 1e9 / static_cast<double>(num_keys);
+      build_timer.ElapsedSeconds() * 1e9 / static_cast<double>(num_keys);
 
-  WallTimer legacy_build_timer;
-  LegacyTable legacy;
-  legacy.num_es_rows = num_es_rows;
-  for (int64_t i = 0; i < num_keys; ++i) {
-    if ((i & 7) == 0) {
-      if (legacy.scored.find(keys[i]) == legacy.scored.end()) {
-        legacy.zero.insert(keys[i]);
-      }
-    } else {
-      auto [it, inserted] = legacy.scored.try_emplace(keys[i]);
-      if (inserted) {
-        it->second.assign(num_es_rows, 0.0);
-        legacy.zero.erase(keys[i]);
-      }
-      it->second[static_cast<size_t>(i) % num_es_rows] += 1.0;
-    }
-  }
-  const double legacy_build_ns = legacy_build_timer.ElapsedSeconds() * 1e9 /
-                                 static_cast<double>(num_keys);
-
-  // Probe both layouts, accumulating a checksum the optimizer cannot
-  // drop; assert the layouts agree while at it.
+  // Probe, accumulating a checksum the optimizer cannot drop.
   double flat_sum = 0.0;
   int64_t flat_hits = 0;
   WallTimer flat_probe_timer;
@@ -303,78 +251,51 @@ void RunFlatVsLegacyConfig(int32_t num_es_rows, double density,
   }
   const double batch_probe_ns = batch_probe_timer.ElapsedSeconds() * 1e9 /
                                 static_cast<double>(num_probes);
-  if (batch_hits != flat_hits || batch_sum != flat_sum) {
-    std::fprintf(stderr, "FindBatch mismatch: batch %lld/%f find %lld/%f\n",
-                 static_cast<long long>(batch_hits), batch_sum,
-                 static_cast<long long>(flat_hits), flat_sum);
-    std::abort();
-  }
 
-  double legacy_sum = 0.0;
-  int64_t legacy_hits = 0;
-  WallTimer legacy_probe_timer;
-  for (int64_t p : probes) {
-    bool exists = false;
-    const std::vector<double>* row = legacy.Find(p, &exists);
-    legacy_hits += exists ? 1 : 0;
-    if (row != nullptr) legacy_sum += (*row)[0];
-  }
-  const double legacy_probe_ns = legacy_probe_timer.ElapsedSeconds() * 1e9 /
-                                 static_cast<double>(num_probes);
-
-  if (flat_hits != legacy_hits || flat_sum != legacy_sum) {
-    std::fprintf(stderr, "layout mismatch: flat %lld/%f legacy %lld/%f\n",
+  // Health gate (--smoke in CI): both probe paths find exactly the
+  // stored keys and agree on the scores they return.
+  if (flat_hits != expected_hits || batch_hits != flat_hits ||
+      batch_sum != flat_sum) {
+    std::fprintf(stderr,
+                 "probe mismatch: expected %lld hits, Find %lld/%f, "
+                 "FindBatch %lld/%f\n",
+                 static_cast<long long>(expected_hits),
                  static_cast<long long>(flat_hits), flat_sum,
-                 static_cast<long long>(legacy_hits), legacy_sum);
+                 static_cast<long long>(batch_hits), batch_sum);
     std::abort();
   }
 
   const double flat_bpk =
       static_cast<double>(flat.ByteSize()) / static_cast<double>(flat.NumKeys());
-  const double legacy_bpk =
-      static_cast<double>(legacy.ByteSize()) /
-      static_cast<double>(legacy.scored.size() + legacy.zero.size());
   tp->AddRow({std::to_string(num_es_rows), TablePrinter::Num(density, 2),
               TablePrinter::Num(flat_probe_ns, 1),
               TablePrinter::Num(batch_probe_ns, 1),
-              TablePrinter::Num(legacy_probe_ns, 1),
-              TablePrinter::Num(legacy_probe_ns / flat_probe_ns, 2) + "x",
-              TablePrinter::Num(legacy_probe_ns / batch_probe_ns, 2) + "x",
+              TablePrinter::Num(flat_probe_ns / batch_probe_ns, 2) + "x",
               TablePrinter::Num(flat_build_ns, 1),
-              TablePrinter::Num(legacy_build_ns, 1),
-              TablePrinter::Num(flat_bpk, 1), TablePrinter::Num(legacy_bpk, 1),
-              TablePrinter::Num(100.0 * (1.0 - flat_bpk / legacy_bpk), 1) +
-                  "%"});
+              TablePrinter::Num(flat_bpk, 1)});
   const std::string section = "es_rows=" + std::to_string(num_es_rows) +
                               "/density=" + TablePrinter::Num(density, 2);
   JsonMetric(section, "flat_probe_ns", flat_probe_ns);
   JsonMetric(section, "batch_probe_ns", batch_probe_ns);
-  JsonMetric(section, "legacy_probe_ns", legacy_probe_ns);
-  JsonMetric(section, "probe_speedup", legacy_probe_ns / flat_probe_ns);
-  JsonMetric(section, "batch_probe_speedup",
-             legacy_probe_ns / batch_probe_ns);
   JsonMetric(section, "flat_build_ns", flat_build_ns);
-  JsonMetric(section, "legacy_build_ns", legacy_build_ns);
   JsonMetric(section, "flat_bytes_per_key", flat_bpk);
-  JsonMetric(section, "legacy_bytes_per_key", legacy_bpk);
 }
 
-void RunFlatVsLegacy(bool smoke) {
+void RunFlatTable(bool smoke) {
   const int64_t num_keys = EnvInt("S4_BENCH_FLAT_KEYS", smoke ? 20000 : 50000);
   const int64_t num_probes =
       EnvInt("S4_BENCH_FLAT_PROBES", smoke ? 200000 : 2000000);
   std::printf(
-      "Flat-arena SubQueryTable vs legacy chained-hash layout"
+      "Flat-arena SubQueryTable build/probe, Find vs FindBatch"
       " (%lld keys, %lld probes per config, simd=%s)\n",
       static_cast<long long>(num_keys), static_cast<long long>(num_probes),
       simd::BackendName());
   TablePrinter tp({"es_rows", "hit density", "flat ns/probe",
-                   "batch ns/probe", "legacy ns/probe", "probe speedup",
-                   "batch speedup", "flat ns/build", "legacy ns/build",
-                   "flat B/key", "legacy B/key", "B/key saved"});
+                   "batch ns/probe", "batch speedup", "flat ns/build",
+                   "flat B/key"});
   for (int32_t es_rows : {1, 5, 20}) {
     for (double density : {0.1, 0.5, 0.9}) {
-      RunFlatVsLegacyConfig(es_rows, density, num_keys, num_probes, &tp);
+      RunFlatTableConfig(es_rows, density, num_keys, num_probes, &tp);
     }
   }
   tp.Print();
@@ -390,7 +311,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   s4::bench::JsonMetric("config", "smoke", smoke ? 1.0 : 0.0);
-  RunFlatVsLegacy(smoke);
+  RunFlatTable(smoke);
   if (smoke) return 0;  // CI gate: skip the google-benchmark section.
   int bench_argc = remaining;
   benchmark::Initialize(&bench_argc, argv);

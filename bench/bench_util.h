@@ -53,63 +53,31 @@ Workload MakeWorkload(const World& world, int32_t count,
                       uint64_t seed = 1234, int32_t min_text_columns = 6,
                       int32_t max_tree_size = 4);
 
-// Accumulates per-run statistics for averaged reporting.
-struct Agg {
-  double enum_seconds = 0.0;
-  double eval_seconds = 0.0;
-  int64_t queries_enumerated = 0;
-  int64_t queries_evaluated = 0;
-  int64_t query_row_evals = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_insertions = 0;
-  int64_t cache_evictions = 0;
-  size_t cache_peak_bytes = 0;  // max over runs, not a sum
-  int64_t critical_subs = 0;
-  int64_t skipped = 0;
-  int64_t model_cost = 0;
+// Per-run search counters summed over `runs` searches, for averaged
+// reporting (merge rules per the counter table: cache_peak_bytes is the
+// max over runs, wall rows are not summed).
+struct Agg : obs::SearchCounters {
   int64_t runs = 0;
 
-  void Add(const RunStats& s) {
-    enum_seconds += s.enum_seconds;
-    eval_seconds += s.eval_seconds;
-    queries_enumerated += s.queries_enumerated;
-    queries_evaluated += s.queries_evaluated;
-    query_row_evals += s.query_row_evals;
-    cache_hits += s.cache.hits;
-    cache_misses += s.cache.misses;
-    cache_insertions += s.cache.insertions;
-    cache_evictions += s.cache.evictions;
-    if (s.cache.peak_bytes > cache_peak_bytes) {
-      cache_peak_bytes = s.cache.peak_bytes;
-    }
-    critical_subs += s.critical_subs_cached;
-    skipped += s.skipped_by_condition;
-    model_cost += s.model_cost;
+  void Add(const obs::SearchCounters& s) {
+    Accumulate(s);
     ++runs;
   }
+  double Avg(double total) const {
+    return runs == 0 ? 0.0 : total / static_cast<double>(runs);
+  }
   double AvgTotalMs() const {
-    return runs == 0 ? 0.0
-                     : 1e3 * (enum_seconds + eval_seconds) /
-                           static_cast<double>(runs);
+    return Avg(1e3 * (enum_seconds + eval_seconds));
   }
-  double AvgEnumMs() const {
-    return runs == 0 ? 0.0 : 1e3 * enum_seconds / static_cast<double>(runs);
-  }
-  double AvgEvalMs() const {
-    return runs == 0 ? 0.0 : 1e3 * eval_seconds / static_cast<double>(runs);
-  }
+  double AvgEnumMs() const { return Avg(1e3 * enum_seconds); }
+  double AvgEvalMs() const { return Avg(1e3 * eval_seconds); }
   double AvgEvaluated() const {
-    return runs == 0 ? 0.0
-                     : static_cast<double>(queries_evaluated) /
-                           static_cast<double>(runs);
+    return Avg(static_cast<double>(candidates_evaluated));
   }
   double AvgRowEvals() const {
-    return runs == 0 ? 0.0
-                     : static_cast<double>(query_row_evals) /
-                           static_cast<double>(runs);
+    return Avg(static_cast<double>(query_row_evals));
   }
-  // The cache-counter subset as a CacheStats, for JsonCacheStats.
+  // The cache-counter rows as a CacheStats, for JsonCacheStats.
   CacheStats CacheTotals() const {
     CacheStats s;
     s.hits = cache_hits;

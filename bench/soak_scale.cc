@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
     Agg base, fast;
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
-      base.Add(RunBaseline(prep, options).stats);
-      fast.Add(RunFastTopK(prep, options).stats);
+      base.Add(RunBaseline(prep, options).profile);
+      fast.Add(RunFastTopK(prep, options).profile);
     }
     IndexStats s = world->index->stats();
     tp.AddRow({TablePrinter::Int(scale),

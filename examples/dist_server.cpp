@@ -155,12 +155,13 @@ int main(int argc, char** argv) {
     for (const auto& s : dist_result->shards) {
       slices += s.queries_enumerated;
     }
-    if (slices != local->stats.queries_enumerated) {
+    if (slices != local->profile.candidates_enumerated) {
       std::fprintf(stderr,
                    "slice sizes sum to %lld but single-node enumerated "
                    "%lld candidates\n",
                    static_cast<long long>(slices),
-                   static_cast<long long>(local->stats.queries_enumerated));
+                   static_cast<long long>(
+                       local->profile.candidates_enumerated));
       return 1;
     }
     std::printf("self-test: %d slices cover all %lld candidates\n", shards,

@@ -73,14 +73,14 @@ int main() {
       "  BASELINE  evaluated %4lld queries in %6.1f ms\n"
       "  FASTTOPK  evaluated %4lld queries in %6.1f ms"
       " (%lld cache hits, %lld critical sub-PJs)\n",
-      static_cast<long long>(naive.stats.queries_evaluated),
-      1e3 * (naive.stats.enum_seconds + naive.stats.eval_seconds),
-      static_cast<long long>(baseline.stats.queries_evaluated),
-      1e3 * (baseline.stats.enum_seconds + baseline.stats.eval_seconds),
-      static_cast<long long>(fast.stats.queries_evaluated),
-      1e3 * (fast.stats.enum_seconds + fast.stats.eval_seconds),
-      static_cast<long long>(fast.stats.cache.hits),
-      static_cast<long long>(fast.stats.critical_subs_cached));
+      static_cast<long long>(naive.profile.candidates_evaluated),
+      1e3 * (naive.profile.enum_seconds + naive.profile.eval_seconds),
+      static_cast<long long>(baseline.profile.candidates_evaluated),
+      1e3 * (baseline.profile.enum_seconds + baseline.profile.eval_seconds),
+      static_cast<long long>(fast.profile.candidates_evaluated),
+      1e3 * (fast.profile.enum_seconds + fast.profile.eval_seconds),
+      static_cast<long long>(fast.profile.cache_hits),
+      static_cast<long long>(fast.profile.critical_subs_cached));
 
   if (!fast.topk.empty() &&
       fast.topk[0].query.signature() == es->source_query.signature()) {

@@ -40,7 +40,7 @@ int main() {
           "typed [%zu,%zu] = %-8s -> top query (%.2f, %lld row-evals): %s\n",
           row, col, full[row][col].c_str(),
           r.topk.empty() ? 0.0 : r.topk[0].score,
-          static_cast<long long>(r.stats.query_row_evals),
+          static_cast<long long>(r.profile.query_row_evals),
           r.topk.empty()
               ? "(none)"
               : r.topk[0].query.ToString((*s4)->db()).c_str());

@@ -178,7 +178,8 @@ int main(int argc, char** argv) {
                                      : result->topk[0].sql.c_str());
 
     // The QueryProfile must come back and reconcile with the response's
-    // own counters (both views come from the same RunStats).
+    // own stats subset (the server maps that subset from the same
+    // profile rows).
     if (!result->has_profile) {
       std::fprintf(stderr, "response is missing the requested profile\n");
       return 1;

@@ -48,22 +48,23 @@ NetSearchResponse BuildResponse(const SearchResult& result,
   }
   resp.interrupted = result.interrupted;
   resp.approximate = result.approximate;
-  const RunStats& s = result.stats;
-  resp.queries_enumerated = s.queries_enumerated;
-  resp.queries_evaluated = s.queries_evaluated;
+  // The frozen v3 stats subset, hand-mapped from the profile rows.
+  const obs::QueryProfile& s = result.profile;
+  resp.queries_enumerated = s.candidates_enumerated;
+  resp.queries_evaluated = s.candidates_evaluated;
   resp.query_row_evals = s.query_row_evals;
   resp.skipped_by_condition = s.skipped_by_condition;
   resp.model_cost = s.model_cost;
   resp.enum_seconds = s.enum_seconds;
   resp.eval_seconds = s.eval_seconds;
-  resp.cache_hits = s.cache.hits;
-  resp.cache_misses = s.cache.misses;
-  resp.cache_evictions = s.cache.evictions;
-  resp.cache_peak_bytes = s.cache.peak_bytes;
+  resp.cache_hits = s.cache_hits;
+  resp.cache_misses = s.cache_misses;
+  resp.cache_evictions = s.cache_evictions;
+  resp.cache_peak_bytes = s.cache_peak_bytes;
   resp.server_seconds = server_seconds;
   if (want_profile) {
     // The service stamped the timing envelope (total/queue wall) on the
-    // profile before completing; work counters came from FinishStats.
+    // profile before completing; the strategy filled the counters.
     resp.has_profile = true;
     resp.profile = result.profile;
   }
@@ -214,16 +215,16 @@ void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
     }
     if (options_.verbose) {
       if (result.ok()) {
-        const RunStats& s = result->stats;
-        const int64_t probes = s.cache.hits + s.cache.misses;
+        const obs::QueryProfile& s = result->profile;
+        const int64_t probes = s.cache_hits + s.cache_misses;
         std::fprintf(
             stderr,
             "[net_server] request_id=%llu strategy=%s evaluated=%lld "
             "cache_hit_rate=%.3f wall_seconds=%.6f\n",
             static_cast<unsigned long long>(request_id),
             StrategyName(strategy),
-            static_cast<long long>(s.queries_evaluated),
-            probes > 0 ? static_cast<double>(s.cache.hits) / probes : 0.0,
+            static_cast<long long>(s.candidates_evaluated),
+            probes > 0 ? static_cast<double>(s.cache_hits) / probes : 0.0,
             server_seconds);
       } else {
         std::fprintf(stderr,

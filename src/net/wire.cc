@@ -397,34 +397,21 @@ Status ReadTopkEntries(WireReader& r, std::vector<NetTopkEntry>* topk,
   return Status::OK();
 }
 
-// The flat QueryProfile section (v3): fixed scalar fields in declaration
-// order, then the per-shard breakdown. Appended to search responses
-// behind a has-flag when the request asked for profiling.
+// Typed scalar put/read, so the counter table can generate the codec.
+void PutScalar(WireWriter* w, double v) { w->PutDouble(v); }
+void PutScalar(WireWriter* w, int64_t v) { w->PutI64(v); }
+void PutScalar(WireWriter* w, uint64_t v) { w->PutU64(v); }
+bool ReadScalar(WireReader& r, double* v) { return r.ReadDouble(v); }
+bool ReadScalar(WireReader& r, int64_t* v) { return r.ReadI64(v); }
+bool ReadScalar(WireReader& r, uint64_t* v) { return r.ReadU64(v); }
+
+// The flat QueryProfile section (v3): the S4_WIRE_COUNTERS rows in
+// table order, then the per-shard breakdown. Appended to search
+// responses behind a has-flag when the request asked for profiling.
 void AppendProfile(const obs::QueryProfile& p, WireWriter* w) {
-  w->PutDouble(p.total_seconds);
-  w->PutDouble(p.queue_seconds);
-  w->PutDouble(p.enum_seconds);
-  w->PutDouble(p.eval_seconds);
-  w->PutI64(p.candidates_enumerated);
-  w->PutI64(p.candidates_evaluated);
-  w->PutI64(p.query_row_evals);
-  w->PutI64(p.skipped_by_condition);
-  w->PutI64(p.batches);
-  w->PutI64(p.bound_updates);
-  w->PutI64(p.rows_scanned);
-  w->PutI64(p.hash_lookups);
-  w->PutI64(p.hash_inserts);
-  w->PutI64(p.postings_scanned);
-  w->PutI64(p.cache_hits);
-  w->PutI64(p.cache_misses);
-  w->PutI64(p.cache_insertions);
-  w->PutI64(p.cache_evictions);
-  w->PutU64(p.cache_peak_bytes);
-  w->PutI64(p.approx_sampled);
-  w->PutI64(p.approx_skipped);
-  w->PutI64(p.approx_escalated);
-  w->PutI64(p.approx_samples);
-  w->PutI64(p.approx_deadline_fallbacks);
+#define S4_PUT(type, name, ...) PutScalar(w, p.name);
+  S4_WIRE_COUNTERS(S4_PUT)
+#undef S4_PUT
   const uint32_t shards = static_cast<uint32_t>(
       std::min<size_t>(p.shards.size(), kMaxWireProfileShards));
   w->PutU32(shards);
@@ -441,22 +428,10 @@ void AppendProfile(const obs::QueryProfile& p, WireWriter* w) {
 }
 
 Status ReadProfile(WireReader& r, obs::QueryProfile* p) {
-  if (!r.ReadDouble(&p->total_seconds) || !r.ReadDouble(&p->queue_seconds) ||
-      !r.ReadDouble(&p->enum_seconds) || !r.ReadDouble(&p->eval_seconds) ||
-      !r.ReadI64(&p->candidates_enumerated) ||
-      !r.ReadI64(&p->candidates_evaluated) ||
-      !r.ReadI64(&p->query_row_evals) ||
-      !r.ReadI64(&p->skipped_by_condition) || !r.ReadI64(&p->batches) ||
-      !r.ReadI64(&p->bound_updates) || !r.ReadI64(&p->rows_scanned) ||
-      !r.ReadI64(&p->hash_lookups) || !r.ReadI64(&p->hash_inserts) ||
-      !r.ReadI64(&p->postings_scanned) || !r.ReadI64(&p->cache_hits) ||
-      !r.ReadI64(&p->cache_misses) || !r.ReadI64(&p->cache_insertions) ||
-      !r.ReadI64(&p->cache_evictions) || !r.ReadU64(&p->cache_peak_bytes) ||
-      !r.ReadI64(&p->approx_sampled) || !r.ReadI64(&p->approx_skipped) ||
-      !r.ReadI64(&p->approx_escalated) || !r.ReadI64(&p->approx_samples) ||
-      !r.ReadI64(&p->approx_deadline_fallbacks)) {
-    return Truncated("profile");
-  }
+#define S4_READ(type, name, ...) \
+  if (!ReadScalar(r, &p->name)) return Truncated("profile");
+  S4_WIRE_COUNTERS(S4_READ)
+#undef S4_READ
   uint32_t shards;
   if (!r.ReadU32(&shards)) return Truncated("profile");
   if (shards > kMaxWireProfileShards) {

@@ -114,7 +114,8 @@ struct NetSearchResponse {
   // run terminated under the epsilon-relaxed bound (v2 field).
   bool approximate = false;
 
-  // RunStats subset (timings + the Fig 5-7 work counters + cache stats).
+  // Frozen v3 subset of the profile rows (timings + the Fig 5-7 work
+  // counters + cache stats), hand-mapped by the server.
   int64_t queries_enumerated = 0;
   int64_t queries_evaluated = 0;
   int64_t query_row_evals = 0;

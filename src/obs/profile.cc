@@ -5,34 +5,14 @@
 
 namespace s4::obs {
 
-void QueryProfile::Accumulate(const QueryProfile& o) {
-  enum_seconds += o.enum_seconds;
-  eval_seconds += o.eval_seconds;
-  candidates_enumerated += o.candidates_enumerated;
-  candidates_evaluated += o.candidates_evaluated;
-  query_row_evals += o.query_row_evals;
-  skipped_by_condition += o.skipped_by_condition;
-  batches += o.batches;
-  bound_updates += o.bound_updates;
-  rows_scanned += o.rows_scanned;
-  hash_lookups += o.hash_lookups;
-  hash_inserts += o.hash_inserts;
-  postings_scanned += o.postings_scanned;
-  cache_hits += o.cache_hits;
-  cache_misses += o.cache_misses;
-  cache_insertions += o.cache_insertions;
-  cache_evictions += o.cache_evictions;
-  if (o.cache_peak_bytes > cache_peak_bytes) {
-    cache_peak_bytes = o.cache_peak_bytes;
-  }
-  approx_sampled += o.approx_sampled;
-  approx_skipped += o.approx_skipped;
-  approx_escalated += o.approx_escalated;
-  approx_samples += o.approx_samples;
-  approx_deadline_fallbacks += o.approx_deadline_fallbacks;
-}
-
 namespace {
+
+void Line(std::string* out, const char* label, double seconds) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "  %-26s %9.3f ms\n", label,
+                1e3 * seconds);
+  *out += buf;
+}
 
 void Line(std::string* out, const char* label, int64_t value) {
   char buf[96];
@@ -40,12 +20,22 @@ void Line(std::string* out, const char* label, int64_t value) {
   *out += buf;
 }
 
-void TimeLine(std::string* out, const char* label, double seconds) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "  %-26s %9.3f ms\n", label,
-                1e3 * seconds);
-  *out += buf;
+void Line(std::string* out, const char* label, uint64_t value) {
+  Line(out, label, static_cast<int64_t>(value));
 }
+
+struct Block {
+  ExplainSection section;
+  const char* title;
+  bool only_if_nonzero;
+};
+
+constexpr Block kBlocks[] = {
+    {ExplainSection::Timing, "query profile", false},
+    {ExplainSection::Work, "work", false},
+    {ExplainSection::Cache, "cache", false},
+    {ExplainSection::Sampler, "sampler", true},
+};
 
 }  // namespace
 
@@ -55,40 +45,20 @@ std::string FormatProfile(const QueryProfile& p,
   out.reserve(1024);
   char buf[256];
 
-  out += "query profile\n";
-  TimeLine(&out, "total wall", p.total_seconds);
-  TimeLine(&out, "queued (admission)", p.queue_seconds);
-  TimeLine(&out, "stage I (enumerate)", p.enum_seconds);
-  TimeLine(&out, "stage II (evaluate)", p.eval_seconds);
-
-  out += "work\n";
-  Line(&out, "candidates enumerated", p.candidates_enumerated);
-  Line(&out, "candidates evaluated", p.candidates_evaluated);
-  Line(&out, "query-row evals", p.query_row_evals);
-  Line(&out, "skipped by condition", p.skipped_by_condition);
-  Line(&out, "batches", p.batches);
-  Line(&out, "bound updates", p.bound_updates);
-  Line(&out, "rows scanned", p.rows_scanned);
-  Line(&out, "hash probes", p.hash_lookups);
-  Line(&out, "hash inserts", p.hash_inserts);
-  Line(&out, "postings scanned", p.postings_scanned);
-
-  out += "cache\n";
-  Line(&out, "hits", p.cache_hits);
-  Line(&out, "misses", p.cache_misses);
-  Line(&out, "insertions", p.cache_insertions);
-  Line(&out, "evictions", p.cache_evictions);
-  Line(&out, "peak bytes", static_cast<int64_t>(p.cache_peak_bytes));
-
-  if (p.approx_sampled + p.approx_skipped + p.approx_escalated +
-          p.approx_samples + p.approx_deadline_fallbacks >
-      0) {
-    out += "sampler\n";
-    Line(&out, "candidates sampled", p.approx_sampled);
-    Line(&out, "skipped on interval", p.approx_skipped);
-    Line(&out, "escalated to exact", p.approx_escalated);
-    Line(&out, "join rows walked", p.approx_samples);
-    Line(&out, "deadline fallbacks", p.approx_deadline_fallbacks);
+  for (const Block& block : kBlocks) {
+    std::string body;
+    bool nonzero = false;
+#define S4_EXPLAIN(type, name, merge, registry, row_section, label) \
+  if (ExplainSection::row_section == block.section) {              \
+    Line(&body, label, p.name);                                     \
+    nonzero |= p.name != 0;                                         \
+  }
+    S4_SEARCH_COUNTERS(S4_EXPLAIN)
+#undef S4_EXPLAIN
+    if (block.only_if_nonzero && !nonzero) continue;
+    out += block.title;
+    out += '\n';
+    out += body;
   }
 
   if (!p.shards.empty()) {

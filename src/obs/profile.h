@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/search_counters.h"
+
 namespace s4::obs {
 
 // Per-shard slice of a distributed request, filled by the coordinator
@@ -22,53 +24,16 @@ struct ShardProfile {
 };
 
 // Per-request resource accounting: where one search spent its time and
-// what it burned, accumulated from the per-run RunStats/sampler
-// counters that already exist (DESIGN.md "Observability"). The struct
-// is plain numbers so it can live below every layer (obs depends only
-// on common), ride the wire as a flat section, and reconcile with the
-// `s4_*` registry counters by construction — both are filled from the
-// same per-run accumulators in one place.
-struct QueryProfile {
-  // Stage timings (seconds). total/queue are service-level wall times
-  // (admission to completion / time spent queued); enum/eval are the
-  // strategy's Stage-I/Stage-II splits.
-  double total_seconds = 0.0;
-  double queue_seconds = 0.0;
-  double enum_seconds = 0.0;
-  double eval_seconds = 0.0;
-  // Stage work.
-  int64_t candidates_enumerated = 0;
-  int64_t candidates_evaluated = 0;
-  int64_t query_row_evals = 0;
-  int64_t skipped_by_condition = 0;
-  int64_t batches = 0;
-  int64_t bound_updates = 0;
-  // Stage-II execution counters (hash probes, scans).
-  int64_t rows_scanned = 0;
-  int64_t hash_lookups = 0;
-  int64_t hash_inserts = 0;
-  int64_t postings_scanned = 0;
-  // Sub-PJ cache traffic.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_insertions = 0;
-  int64_t cache_evictions = 0;
-  uint64_t cache_peak_bytes = 0;
-  // Sampling estimator outcomes (anytime approximate search).
-  int64_t approx_sampled = 0;
-  int64_t approx_skipped = 0;
-  int64_t approx_escalated = 0;
-  int64_t approx_samples = 0;
-  int64_t approx_deadline_fallbacks = 0;
+// what it burned. The counters are the table in obs/search_counters.h,
+// accumulated by the strategies and published to the `s4_*` registry
+// from the same struct, so profile and registry reconcile by
+// construction. The service stamps the total/queue wall times; the
+// coordinator folds shard profiles with Accumulate (shards are not
+// merged) and appends the per-shard breakdown.
+struct QueryProfile : SearchCounters {
   // Distributed fan-out breakdown, coordinator-filled; empty for
   // single-node requests.
   std::vector<ShardProfile> shards;
-
-  // Accumulates another profile's work counters into this one (the
-  // coordinator folds shard profiles into the fleet-wide totals).
-  // Timings other than enum/eval are not summed — wall clocks of
-  // concurrent shards do not add.
-  void Accumulate(const QueryProfile& o);
 };
 
 // One ranked hit's score bracket for the explain report: degenerate
@@ -83,10 +48,10 @@ struct ProfileHit {
   std::string label;  // SQL text or signature
 };
 
-// Human-readable explain report of a finished request: stage timing
-// table, work/cache/sampler counters, per-shard fan-out lines, and —
-// when `hits` is non-empty — per-hit score brackets (error bars) for
-// approximate results.
+// Human-readable explain report of a finished request: one block per
+// counter-table section (timings, work, cache, sampler), per-shard
+// fan-out lines, and — when `hits` is non-empty — per-hit score
+// brackets (error bars) for approximate results.
 std::string FormatProfile(const QueryProfile& profile,
                           const std::vector<ProfileHit>& hits = {});
 

@@ -76,9 +76,9 @@ std::string S4System::FormatResults(const SearchResult& result,
       "top-%zu of %lld candidates (%lld evaluated, %.1f ms enum+ub, "
       "%.1f ms eval)\n",
       result.topk.size(),
-      static_cast<long long>(result.stats.queries_enumerated),
-      static_cast<long long>(result.stats.queries_evaluated),
-      result.stats.enum_seconds * 1e3, result.stats.eval_seconds * 1e3);
+      static_cast<long long>(result.profile.candidates_enumerated),
+      static_cast<long long>(result.profile.candidates_evaluated),
+      result.profile.enum_seconds * 1e3, result.profile.eval_seconds * 1e3);
   int32_t rank = 0;
   for (const ScoredQuery& sq : result.topk) {
     ++rank;

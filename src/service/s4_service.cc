@@ -393,25 +393,16 @@ std::string S4Service::SlowLogJson() const {
         "{\"seq\":%llu,\"unix_ts_us\":%lld,\"request_id\":%llu,"
         "\"trace_id\":%llu,\"elapsed_ms\":%.3f,\"queue_ms\":%.3f,"
         "\"rows\":%d,\"cols\":%d,\"k\":%d,\"strategy\":\"%s\","
-        "\"status\":\"%s\",\"profile\":{"
-        "\"enum_ms\":%.3f,\"eval_ms\":%.3f,"
-        "\"candidates_enumerated\":%lld,\"candidates_evaluated\":%lld,"
-        "\"rows_scanned\":%lld,\"cache_hits\":%lld,\"cache_misses\":%lld,"
-        "\"approx_samples\":%lld}}",
+        "\"status\":\"%s\",\"profile\":{",
         static_cast<unsigned long long>(e.seq),
         static_cast<long long>(e.unix_ts_us),
         static_cast<unsigned long long>(e.request_id),
         static_cast<unsigned long long>(e.trace_id),
         e.elapsed_seconds * 1e3, e.queue_seconds * 1e3, e.rows, e.cols, e.k,
         obs::JsonEscape(e.strategy).c_str(),
-        obs::JsonEscape(e.status).c_str(), e.profile.enum_seconds * 1e3,
-        e.profile.eval_seconds * 1e3,
-        static_cast<long long>(e.profile.candidates_enumerated),
-        static_cast<long long>(e.profile.candidates_evaluated),
-        static_cast<long long>(e.profile.rows_scanned),
-        static_cast<long long>(e.profile.cache_hits),
-        static_cast<long long>(e.profile.cache_misses),
-        static_cast<long long>(e.profile.approx_samples));
+        obs::JsonEscape(e.status).c_str());
+    obs::AppendCountersJson(e.profile, &out);
+    out += "}}";
   }
   out += "]}";
   return out;

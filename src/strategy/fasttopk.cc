@@ -112,13 +112,13 @@ class FastTopKRun {
         }
         EvaluateBatch(next, end);
       }
-      ++result_.stats.batches;
+      ++result_.profile.batches;
       next = end;
       ++batch_index;
       // Batch boundary: stream a progress snapshot (the distributed
       // kShardPartial payload) before the termination check so a
       // coordinator sees the tightest remaining upper bound we know.
-      EmitProgress(options_, topk_, rts_, next, result_.stats);
+      EmitProgress(options_, topk_, rts_, next, result_.profile);
       // Termination condition (7) after each batch. Strict: a remaining
       // candidate with ub == kth can still displace the boundary entry
       // under the canonical (score desc, signature asc) tie order. In
@@ -151,7 +151,7 @@ class FastTopKRun {
       (void)score;
       result_.topk.push_back(std::move(sq));
     }
-    result_.stats.eval_seconds = timer.ElapsedSeconds();
+    result_.profile.eval_seconds = timer.ElapsedSeconds();
     FinishStats(prep_, &cache_, &result_);
     return std::move(result_);
   }
@@ -261,32 +261,32 @@ class FastTopKRun {
       // epsilon-relaxed decisions below only ever see candidates the
       // exact path would have evaluated.
       if (topk_.Full() && rts_[i].ub < topk_.KthScore()) {
-        ++result_.stats.skipped_by_condition;
+        ++result_.profile.skipped_by_condition;
         (*resolved)[i - lo] = true;
         continue;
       }
       if (topk_.Full() && rts_[i].ub <= SkipBound()) {
-        ++result_.stats.approx_skipped;
+        ++result_.profile.approx_skipped;
         result_.approximate = true;
         (*resolved)[i - lo] = true;
         continue;
       }
       if (est == nullptr) continue;  // prefiltered but bound regressed: exact
-      result_.stats.approx_samples += est->interval.sampled;
+      result_.profile.approx_samples += est->interval.sampled;
       if (est->escalate && !deadline_fallback_) {
-        ++result_.stats.approx_escalated;
+        ++result_.profile.approx_escalated;
         continue;
       }
       if (topk_.Full() && est->interval.hi <= SkipBound()) {
-        ++result_.stats.approx_skipped;
+        ++result_.profile.approx_skipped;
         result_.approximate = true;
         (*resolved)[i - lo] = true;
         continue;
       }
       if (est->interval.resolved() || deadline_fallback_) {
-        ++result_.stats.approx_sampled;
+        ++result_.profile.approx_sampled;
         if (deadline_fallback_ && est->escalate) {
-          ++result_.stats.approx_deadline_fallbacks;
+          ++result_.profile.approx_deadline_fallbacks;
         }
         if (est->interval.exact() && !est->row_scores.empty()) {
           result_.evaluated.push_back(EvaluatedRecord{
@@ -295,12 +295,12 @@ class FastTopKRun {
           result_.approximate = true;
         }
         OfferCounted(&topk_, MakeApproxScored(rts_[i], *est),
-                     &result_.stats);
+                     &result_.profile);
         (*resolved)[i - lo] = true;
         continue;
       }
       // Unresolved interval outside fallback: escalate to exact.
-      ++result_.stats.approx_escalated;
+      ++result_.profile.approx_escalated;
     }
   }
 
@@ -309,13 +309,13 @@ class FastTopKRun {
     // the current k-th score cannot enter the top-k. Strict so an exact
     // tie (ub == kth) is still evaluated and resolved canonically.
     if (topk_.Full() && rts_[rt_index].ub < topk_.KthScore()) {
-      ++result_.stats.skipped_by_condition;
+      ++result_.profile.skipped_by_condition;
       return;
     }
     ScoredQuery sq =
         EvaluateCandidate(prep_, rts_[rt_index], &cache_, offer_to_cache,
-                          options_, &result_.stats, &result_.evaluated);
-    OfferCounted(&topk_, std::move(sq), &result_.stats);
+                          options_, &result_.profile, &result_.evaluated);
+    OfferCounted(&topk_, std::move(sq), &result_.profile);
   }
 
   // Evaluates the given candidates (already in deterministic order —
@@ -340,7 +340,7 @@ class FastTopKRun {
     live.reserve(rt_indices.size());
     for (size_t rt : rt_indices) {
       if (full && rts_[rt].ub < kth) {
-        ++result_.stats.skipped_by_condition;
+        ++result_.profile.skipped_by_condition;
       } else {
         live.push_back(rt);
       }
@@ -480,7 +480,7 @@ class FastTopKRun {
       }
       if (!group_live) {
         for (size_t e : *best_group) {
-          ++result_.stats.skipped_by_condition;
+          ++result_.profile.skipped_by_condition;
           done[e] = true;
           --remaining;
         }
@@ -493,6 +493,7 @@ class FastTopKRun {
       eopts.drop_zero_rows = options_.drop_zero_rows;
       eopts.trace = options_.trace;
       std::shared_ptr<const SubQueryTable> table;
+      EvalCounters eval;
       {
         obs::SpanTimer critical_span(options_.trace, "fasttopk",
                                      "evaluate_critical_sub");
@@ -500,13 +501,13 @@ class FastTopKRun {
           critical_span.AddArg("sharers",
                                std::to_string(best_group->size()));
         }
-        table = evaluator.EvaluateSub(*best_sub, &cache_,
-                                      &result_.stats.counters, eopts);
+        table = evaluator.EvaluateSub(*best_sub, &cache_, &eval, eopts);
       }
-      result_.stats.model_cost +=
+      AddEvalCounters(eval, &result_.profile);
+      result_.profile.model_cost +=
           EvaluationCost(best_sub->tree, best_sub->bindings, prep_.ctx);
       cache_.Add(best_key, std::move(table), /*pinned=*/true);
-      ++result_.stats.critical_subs_cached;
+      ++result_.profile.critical_subs_cached;
 
       // Evaluate Critical^{-1}(Q*) in similarity order, re-using M with
       // LRU offers of intermediate tables (heuristic 1).

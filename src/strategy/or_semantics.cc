@@ -43,7 +43,7 @@ SearchResult SearchOrSemantics(const IndexSet& index,
       std::string key = sq.query.signature();
       topk.Offer(sq.score, std::move(sq), std::move(key));
     }
-    out.stats.Add(r.stats);
+    out.profile.Accumulate(r.profile);
     out.approximate |= r.approximate;
     out.interrupted |= r.interrupted;
   }

@@ -7,7 +7,6 @@
 #include "common/timer.h"
 #include "common/topk_heap.h"
 #include "exec/cost_model.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "strategy/strategy_internal.h"
 
@@ -75,31 +74,6 @@ int32_t ShardOfSignature(std::string_view signature, int32_t shard_count) {
       static_cast<uint64_t>(shard_count));
 }
 
-void RunStats::Add(const RunStats& o) {
-  queries_enumerated += o.queries_enumerated;
-  queries_evaluated += o.queries_evaluated;
-  query_row_evals += o.query_row_evals;
-  skipped_by_condition += o.skipped_by_condition;
-  batches += o.batches;
-  bound_updates += o.bound_updates;
-  critical_subs_cached += o.critical_subs_cached;
-  model_cost += o.model_cost;
-  enum_seconds += o.enum_seconds;
-  eval_seconds += o.eval_seconds;
-  approx_sampled += o.approx_sampled;
-  approx_skipped += o.approx_skipped;
-  approx_escalated += o.approx_escalated;
-  approx_samples += o.approx_samples;
-  approx_deadline_fallbacks += o.approx_deadline_fallbacks;
-  counters.Add(o.counters);
-  cache.hits += o.cache.hits;
-  cache.misses += o.cache.misses;
-  cache.insertions += o.cache.insertions;
-  cache.evictions += o.cache.evictions;
-  cache.rejected_too_large += o.cache.rejected_too_large;
-  cache.peak_bytes = std::max(cache.peak_bytes, o.cache.peak_bytes);
-}
-
 PreparedSearch::PreparedSearch(const IndexSet& index,
                                const SchemaGraph& graph,
                                const ExampleSpreadsheet& sheet,
@@ -113,7 +87,7 @@ PreparedSearch::PreparedSearch(const IndexSet& index,
   enum_stats = result.stats;
   if (options.shard_count > 1) {
     // Candidate-space sharding: keep only this shard's slice. Done
-    // before the sort so queries_enumerated reports the slice size and
+    // before the sort so candidates_enumerated reports the slice size and
     // per-shard counts sum to the single-node total.
     candidates.erase(
         std::remove_if(candidates.begin(), candidates.end(),
@@ -169,7 +143,8 @@ void SortRuntime(std::vector<RuntimeCandidate>* rts) {
 ScoredQuery EvaluateCandidate(PreparedSearch& prep,
                               const RuntimeCandidate& rt,
                               SubQueryCache* cache, bool offer_to_cache,
-                              const SearchOptions& options, RunStats* stats,
+                              const SearchOptions& options,
+                              obs::SearchCounters* counters,
                               std::vector<EvaluatedRecord>* records) {
   const CandidateQuery& cand = *rt.cand;
   obs::SpanTimer span(options.trace, "stage2", "evaluate_candidate");
@@ -184,15 +159,17 @@ ScoredQuery EvaluateCandidate(PreparedSearch& prep,
   eopts.trace = options.trace;
 
   if (cache != nullptr) {
-    stats->model_cost += EvaluationCostWithCache(
+    counters->model_cost += EvaluationCostWithCache(
         cand.query, cand.query.EnumerateSubQueries(), *cache, prep.ctx,
         rt.suffix);
   } else {
-    stats->model_cost += EvaluationCost(cand.query, prep.ctx);
+    counters->model_cost += EvaluationCost(cand.query, prep.ctx);
   }
 
+  EvalCounters eval;
   std::vector<double> row_scores =
-      evaluator.RowScores(cand.query, cache, &stats->counters, eopts);
+      evaluator.RowScores(cand.query, cache, &eval, eopts);
+  AddEvalCounters(eval, counters);
 
   // Merge prior scores for rows outside the evaluated subset.
   if (rt.prior_row_scores != nullptr && !rt.es_rows.empty()) {
@@ -205,8 +182,8 @@ ScoredQuery EvaluateCandidate(PreparedSearch& prep,
     }
   }
 
-  ++stats->queries_evaluated;
-  stats->query_row_evals += rt.es_rows.empty()
+  ++counters->candidates_evaluated;
+  counters->query_row_evals += rt.es_rows.empty()
                                 ? prep.ctx.NumEsRows()
                                 : static_cast<int64_t>(rt.es_rows.size());
 
@@ -228,108 +205,28 @@ ScoredQuery EvaluateCandidate(PreparedSearch& prep,
   return sq;
 }
 
+void AddEvalCounters(const EvalCounters& eval,
+                     obs::SearchCounters* counters) {
+  counters->rows_scanned += eval.rows_scanned;
+  counters->hash_lookups += eval.hash_lookups;
+  counters->hash_inserts += eval.hash_inserts;
+  counters->postings_scanned += eval.postings_scanned;
+}
+
 void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
                  SearchResult* result) {
-  RunStats* stats = &result->stats;
-  stats->queries_enumerated =
-      static_cast<int64_t>(prep.candidates.size());
-  stats->enum_seconds = prep.enum_seconds;
-  if (cache != nullptr) stats->cache = cache->stats();
-
-  // Derive the per-request profile from the very accumulators that
-  // feed the registry publish below: the two views cannot drift.
   obs::QueryProfile& p = result->profile;
-  p.enum_seconds = stats->enum_seconds;
-  p.eval_seconds = stats->eval_seconds;
-  p.candidates_enumerated = stats->queries_enumerated;
-  p.candidates_evaluated = stats->queries_evaluated;
-  p.query_row_evals = stats->query_row_evals;
-  p.skipped_by_condition = stats->skipped_by_condition;
-  p.batches = stats->batches;
-  p.bound_updates = stats->bound_updates;
-  p.rows_scanned = stats->counters.rows_scanned;
-  p.hash_lookups = stats->counters.hash_lookups;
-  p.hash_inserts = stats->counters.hash_inserts;
-  p.postings_scanned = stats->counters.postings_scanned;
-  p.cache_hits = stats->cache.hits;
-  p.cache_misses = stats->cache.misses;
-  p.cache_insertions = stats->cache.insertions;
-  p.cache_evictions = stats->cache.evictions;
-  p.cache_peak_bytes = stats->cache.peak_bytes;
-  p.approx_sampled = stats->approx_sampled;
-  p.approx_skipped = stats->approx_skipped;
-  p.approx_escalated = stats->approx_escalated;
-  p.approx_samples = stats->approx_samples;
-  p.approx_deadline_fallbacks = stats->approx_deadline_fallbacks;
-
-  // Bulk-publish the finished run into the process-wide registry: one
-  // batch of striped adds per search, never per candidate, so the hot
-  // path stays free of shared-line traffic. Counter references are
-  // resolved once and cached (the registry never moves them).
-  struct RunCounters {
-    obs::Counter* searches;
-    obs::Counter* enumerated;
-    obs::Counter* evaluated;
-    obs::Counter* row_evals;
-    obs::Counter* skipped;
-    obs::Counter* batches;
-    obs::Counter* bound_updates;
-    obs::Counter* critical_subs;
-    obs::Counter* cache_hits;
-    obs::Counter* cache_misses;
-    obs::Counter* cache_insertions;
-    obs::Counter* cache_evictions;
-    obs::Counter* approx_sampled;
-    obs::Counter* approx_skipped;
-    obs::Counter* approx_escalated;
-    obs::Counter* approx_samples;
-    obs::Counter* approx_deadline_fallbacks;
-    obs::Histogram* enum_seconds;
-    obs::Histogram* eval_seconds;
-  };
-  static const RunCounters c = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    return RunCounters{
-        &reg.GetCounter("s4_searches_total"),
-        &reg.GetCounter("s4_candidates_enumerated_total"),
-        &reg.GetCounter("s4_candidates_evaluated_total"),
-        &reg.GetCounter("s4_query_row_evals_total"),
-        &reg.GetCounter("s4_skipped_by_condition_total"),
-        &reg.GetCounter("s4_batches_total"),
-        &reg.GetCounter("s4_bound_updates_total"),
-        &reg.GetCounter("s4_critical_subs_cached_total"),
-        &reg.GetCounter("s4_cache_probe_hits_total"),
-        &reg.GetCounter("s4_cache_probe_misses_total"),
-        &reg.GetCounter("s4_cache_insertions_total"),
-        &reg.GetCounter("s4_cache_evictions_total"),
-        &reg.GetCounter("s4_approx_candidates_sampled_total"),
-        &reg.GetCounter("s4_approx_skipped_total"),
-        &reg.GetCounter("s4_approx_escalated_total"),
-        &reg.GetCounter("s4_approx_samples_total"),
-        &reg.GetCounter("s4_approx_deadline_fallbacks_total"),
-        &reg.GetHistogram("s4_enum_seconds"),
-        &reg.GetHistogram("s4_eval_seconds"),
-    };
-  }();
-  c.searches->Increment();
-  c.enumerated->Add(stats->queries_enumerated);
-  c.evaluated->Add(stats->queries_evaluated);
-  c.row_evals->Add(stats->query_row_evals);
-  c.skipped->Add(stats->skipped_by_condition);
-  c.batches->Add(stats->batches);
-  c.bound_updates->Add(stats->bound_updates);
-  c.critical_subs->Add(stats->critical_subs_cached);
-  c.cache_hits->Add(stats->cache.hits);
-  c.cache_misses->Add(stats->cache.misses);
-  c.cache_insertions->Add(stats->cache.insertions);
-  c.cache_evictions->Add(stats->cache.evictions);
-  c.approx_sampled->Add(stats->approx_sampled);
-  c.approx_skipped->Add(stats->approx_skipped);
-  c.approx_escalated->Add(stats->approx_escalated);
-  c.approx_samples->Add(stats->approx_samples);
-  c.approx_deadline_fallbacks->Add(stats->approx_deadline_fallbacks);
-  c.enum_seconds->Observe(stats->enum_seconds);
-  c.eval_seconds->Observe(stats->eval_seconds);
+  p.candidates_enumerated = static_cast<int64_t>(prep.candidates.size());
+  p.enum_seconds = prep.enum_seconds;
+  if (cache != nullptr) {
+    const CacheStats cs = cache->stats();
+    p.cache_hits = cs.hits;
+    p.cache_misses = cs.misses;
+    p.cache_insertions = cs.insertions;
+    p.cache_evictions = cs.evictions;
+    p.cache_peak_bytes = cs.peak_bytes;
+  }
+  obs::PublishSearch(p);
 }
 
 int32_t ResolveNumThreads(const SearchOptions& options) {
@@ -345,17 +242,17 @@ EvalOutcome EvaluateCandidateIsolated(PreparedSearch& prep,
                                       const SearchOptions& options) {
   EvalOutcome out;
   out.sq = EvaluateCandidate(prep, rt, cache, offer_to_cache, options,
-                             &out.stats, &out.records);
+                             &out.counters, &out.records);
   return out;
 }
 
 void MergeOutcome(EvalOutcome&& outcome, SearchResult* result,
                   TopKHeap<ScoredQuery>* topk) {
-  result->stats.Add(outcome.stats);
+  result->profile.Accumulate(outcome.counters);
   for (EvaluatedRecord& rec : outcome.records) {
     result->evaluated.push_back(std::move(rec));
   }
-  OfferCounted(topk, std::move(outcome.sq), &result->stats);
+  OfferCounted(topk, std::move(outcome.sq), &result->profile);
 }
 
 SearchResult RunBaselineCore(PreparedSearch& prep,
@@ -382,10 +279,10 @@ SearchResult RunBaselineCore(PreparedSearch& prep,
       }
       ScoredQuery sq =
           EvaluateCandidate(prep, rts[i], /*cache=*/nullptr,
-                            /*offer_to_cache=*/false, options, &result.stats,
+                            /*offer_to_cache=*/false, options, &result.profile,
                             &result.evaluated);
-      OfferCounted(&topk, std::move(sq), &result.stats);
-      EmitProgress(options, topk, rts, i + 1, result.stats);
+      OfferCounted(&topk, std::move(sq), &result.profile);
+      EmitProgress(options, topk, rts, i + 1, result.profile);
       if (stop_after(i)) break;
     }
   } else {
@@ -412,7 +309,7 @@ SearchResult RunBaselineCore(PreparedSearch& prep,
       });
       for (size_t j = 0; j < outcomes.size() && !stop; ++j) {
         MergeOutcome(std::move(outcomes[j]), &result, &topk);
-        EmitProgress(options, topk, rts, lo + j + 1, result.stats);
+        EmitProgress(options, topk, rts, lo + j + 1, result.profile);
         stop = stop_after(lo + j);
       }
     }
@@ -421,7 +318,7 @@ SearchResult RunBaselineCore(PreparedSearch& prep,
     (void)score;
     result.topk.push_back(std::move(sq));
   }
-  result.stats.eval_seconds = timer.ElapsedSeconds();
+  result.profile.eval_seconds = timer.ElapsedSeconds();
   FinishStats(prep, nullptr, &result);
   return result;
 }
@@ -444,9 +341,9 @@ SearchResult RunNaive(PreparedSearch& prep, const SearchOptions& options) {
       ScoredQuery sq =
           internal::EvaluateCandidate(prep, rts[i], /*cache=*/nullptr,
                                       /*offer_to_cache=*/false, options,
-                                      &result.stats, &result.evaluated);
-      internal::OfferCounted(&topk, std::move(sq), &result.stats);
-      internal::EmitProgress(options, topk, rts, i + 1, result.stats);
+                                      &result.profile, &result.evaluated);
+      internal::OfferCounted(&topk, std::move(sq), &result.profile);
+      internal::EmitProgress(options, topk, rts, i + 1, result.profile);
     }
   } else {
     // Cache-less evaluations are fully independent: fan blocks out to
@@ -470,14 +367,14 @@ SearchResult RunNaive(PreparedSearch& prep, const SearchOptions& options) {
       for (internal::EvalOutcome& o : outcomes) {
         internal::MergeOutcome(std::move(o), &result, &topk);
       }
-      internal::EmitProgress(options, topk, rts, hi, result.stats);
+      internal::EmitProgress(options, topk, rts, hi, result.profile);
     }
   }
   for (auto& [score, sq] : topk.TakeSortedDescending()) {
     (void)score;
     result.topk.push_back(std::move(sq));
   }
-  result.stats.eval_seconds = timer.ElapsedSeconds();
+  result.profile.eval_seconds = timer.ElapsedSeconds();
   internal::FinishStats(prep, nullptr, &result);
   return result;
 }

@@ -39,12 +39,17 @@ void SortRuntime(std::vector<RuntimeCandidate>* rts);
 ScoredQuery EvaluateCandidate(PreparedSearch& prep,
                               const RuntimeCandidate& rt,
                               SubQueryCache* cache, bool offer_to_cache,
-                              const SearchOptions& options, RunStats* stats,
+                              const SearchOptions& options,
+                              obs::SearchCounters* counters,
                               std::vector<EvaluatedRecord>* records);
 
-// Shared epilogue: fold per-run cache stats and enumeration stats into
-// `result->stats`, derive the per-request QueryProfile from the same
-// numbers, and bulk-publish the run into the metrics registry.
+// Folds the evaluator's Stage-II counters into the table's Stage-II rows
+// (the one place EvalCounters meets the per-search counters).
+void AddEvalCounters(const EvalCounters& eval, obs::SearchCounters* counters);
+
+// Shared epilogue: fold the enumeration size and the per-run cache
+// stats into `result->profile`, then bulk-publish the run into the
+// metrics registry.
 void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
                  SearchResult* result);
 
@@ -83,13 +88,13 @@ class PoolHandle {
 };
 
 // Everything one candidate evaluation produces, isolated for off-thread
-// execution: the scored query plus per-candidate stats/record deltas.
+// execution: the scored query plus per-candidate counter/record deltas.
 // Workers never touch shared accumulators; outcomes are merged at join
 // points in deterministic candidate order (no hot-path atomics), which
-// keeps topk tie-breaking and stats reproducible at any thread count.
+// keeps topk tie-breaking and counters reproducible at any thread count.
 struct EvalOutcome {
   ScoredQuery sq;
-  RunStats stats;
+  obs::SearchCounters counters;
   std::vector<EvaluatedRecord> records;
 };
 
@@ -102,10 +107,10 @@ EvalOutcome EvaluateCandidateIsolated(PreparedSearch& prep,
                                       const SearchOptions& options);
 
 // Offers a scored query to the heap, counting the offer as a bound
-// update in `stats` when it raised the k-th best score (the
+// update in `counters` when it raised the k-th best score (the
 // termination/skipping bound of condition (7)).
 inline void OfferCounted(TopKHeap<ScoredQuery>* topk, ScoredQuery sq,
-                         RunStats* stats) {
+                         obs::SearchCounters* counters) {
   const bool was_full = topk->Full();
   const double before = topk->KthScore();
   const double score = sq.score;
@@ -114,7 +119,7 @@ inline void OfferCounted(TopKHeap<ScoredQuery>* topk, ScoredQuery sq,
   std::string key = sq.query.signature();
   topk->Offer(score, std::move(sq), std::move(key));
   if (topk->Full() && (!was_full || topk->KthScore() > before)) {
-    ++stats->bound_updates;
+    ++counters->bound_updates;
   }
 }
 
@@ -131,15 +136,16 @@ void MergeOutcome(EvalOutcome&& outcome, SearchResult* result,
 inline void EmitProgress(const SearchOptions& options,
                          const TopKHeap<ScoredQuery>& topk,
                          const std::vector<RuntimeCandidate>& rts,
-                         size_t next_rank, const RunStats& stats) {
+                         size_t next_rank,
+                         const obs::SearchCounters& counters) {
   if (!options.progress) return;
   SearchProgress p;
   p.remaining_upper_bound =
       next_rank < rts.size() ? rts[next_rank].ub
                              : -std::numeric_limits<double>::infinity();
   p.enumerated = static_cast<int64_t>(rts.size());
-  p.evaluated = stats.queries_evaluated;
-  p.batches = stats.batches;
+  p.evaluated = counters.candidates_evaluated;
+  p.batches = counters.batches;
   for (auto& [score, sq] : topk.SnapshotSortedDescending()) {
     (void)score;
     p.topk.push_back(std::move(sq));

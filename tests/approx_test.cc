@@ -309,8 +309,8 @@ TEST_P(ApproxZeroEpsilonTest, BitIdenticalAcrossStrategiesThreadsShards) {
           knob_slices.push_back(run(prep, knobs));
 
           EXPECT_FALSE(knob_slices.back().approximate) << label;
-          EXPECT_EQ(knob_slices.back().stats.approx_sampled, 0) << label;
-          EXPECT_EQ(knob_slices.back().stats.approx_skipped, 0) << label;
+          EXPECT_EQ(knob_slices.back().profile.approx_sampled, 0) << label;
+          EXPECT_EQ(knob_slices.back().profile.approx_skipped, 0) << label;
           ExpectBitIdenticalTopK(plain_slices.back().topk,
                                  knob_slices.back().topk,
                                  label + " slice " + std::to_string(shard));
@@ -497,7 +497,7 @@ TEST(ApproxDeadlineTest, FallbackTurnsTruncationIntoApproximation) {
   ASSERT_TRUE(approx.ok()) << approx.status();
   EXPECT_FALSE(approx->interrupted);
   EXPECT_TRUE(approx->approximate);
-  EXPECT_GT(approx->stats.approx_sampled, 0);
+  EXPECT_GT(approx->profile.approx_sampled, 0);
   EXPECT_FALSE(approx->topk.empty());
 }
 

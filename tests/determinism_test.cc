@@ -8,6 +8,7 @@
 // the serial schedule.
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,28 +80,27 @@ void ExpectIdenticalTopK(const SearchResult& a, const SearchResult& b,
 
 // Scheduling-invariant stats: identical for a fixed thread count, and
 // for NAIVE/BASELINE identical across thread counts too.
-void ExpectInvariantStatsEqual(const RunStats& a, const RunStats& b,
+void ExpectInvariantStatsEqual(const obs::SearchCounters& a,
+                               const obs::SearchCounters& b,
                                const std::string& label) {
-  EXPECT_EQ(a.queries_enumerated, b.queries_enumerated) << label;
-  EXPECT_EQ(a.queries_evaluated, b.queries_evaluated) << label;
+  EXPECT_EQ(a.candidates_enumerated, b.candidates_enumerated) << label;
+  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated) << label;
   EXPECT_EQ(a.query_row_evals, b.query_row_evals) << label;
   EXPECT_EQ(a.skipped_by_condition, b.skipped_by_condition) << label;
   EXPECT_EQ(a.batches, b.batches) << label;
   EXPECT_EQ(a.critical_subs_cached, b.critical_subs_cached) << label;
 }
 
-// Everything except wall-clock timings.
-void ExpectAllStatsEqual(const RunStats& a, const RunStats& b,
+// Every counter row except the wall-clock timings (the seconds rows).
+void ExpectAllStatsEqual(const obs::SearchCounters& a,
+                         const obs::SearchCounters& b,
                          const std::string& label) {
-  ExpectInvariantStatsEqual(a, b, label);
-  EXPECT_EQ(a.model_cost, b.model_cost) << label;
-  EXPECT_EQ(a.counters.rows_scanned, b.counters.rows_scanned) << label;
-  EXPECT_EQ(a.counters.hash_lookups, b.counters.hash_lookups) << label;
-  EXPECT_EQ(a.counters.hash_inserts, b.counters.hash_inserts) << label;
-  EXPECT_EQ(a.counters.postings_scanned, b.counters.postings_scanned)
-      << label;
-  EXPECT_EQ(a.counters.cache_hits, b.counters.cache_hits) << label;
-  EXPECT_EQ(a.counters.cache_misses, b.counters.cache_misses) << label;
+#define S4_EXPECT_ROW(type, name, ...)               \
+  if constexpr (!std::is_same_v<type, double>) {     \
+    EXPECT_EQ(a.name, b.name) << label << " " #name; \
+  }
+  S4_SEARCH_COUNTERS(S4_EXPECT_ROW)
+#undef S4_EXPECT_ROW
 }
 
 TEST(DeterminismTest, SerialRepeatedRunsIdentical) {
@@ -111,7 +111,7 @@ TEST(DeterminismTest, SerialRepeatedRunsIdentical) {
     SearchResult a = runner(prep, options);
     SearchResult b = runner(prep, options);
     ExpectIdenticalTopK(a, b, "serial-repeat");
-    ExpectAllStatsEqual(a.stats, b.stats, "serial-repeat");
+    ExpectAllStatsEqual(a.profile, b.profile, "serial-repeat");
     ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
     for (size_t i = 0; i < a.evaluated.size(); ++i) {
       EXPECT_EQ(a.evaluated[i].signature, b.evaluated[i].signature);
@@ -128,7 +128,7 @@ TEST(DeterminismTest, ParallelRepeatedRunsIdentical) {
     SearchResult a = runner(prep, options);
     SearchResult b = runner(prep, options);
     ExpectIdenticalTopK(a, b, "parallel-repeat");
-    ExpectInvariantStatsEqual(a.stats, b.stats, "parallel-repeat");
+    ExpectInvariantStatsEqual(a.profile, b.profile, "parallel-repeat");
   }
 }
 
@@ -140,7 +140,7 @@ TEST(DeterminismTest, NaiveParallelBitIdenticalToSerial) {
   SearchResult a = RunNaive(prep, serial);
   SearchResult b = RunNaive(prep, parallel);
   ExpectIdenticalTopK(a, b, "naive-1v8");
-  ExpectAllStatsEqual(a.stats, b.stats, "naive-1v8");
+  ExpectAllStatsEqual(a.profile, b.profile, "naive-1v8");
   // Session records merge in candidate order: identical too.
   ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
   for (size_t i = 0; i < a.evaluated.size(); ++i) {
@@ -159,7 +159,7 @@ TEST(DeterminismTest, BaselineParallelBitIdenticalToSerial) {
   ExpectIdenticalTopK(a, b, "baseline-1v8");
   // Speculative replay drops outcomes past the stop rank, so even the
   // Thm-1 minimal evaluation count survives parallelism exactly.
-  ExpectAllStatsEqual(a.stats, b.stats, "baseline-1v8");
+  ExpectAllStatsEqual(a.profile, b.profile, "baseline-1v8");
   ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
 }
 
@@ -176,12 +176,12 @@ TEST(DeterminismTest, FastTopKParallelMatchesSerialTopK) {
   for (size_t i = 0; i < a.topk.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.topk[i].score, b.topk[i].score) << "rank " << i;
   }
-  EXPECT_EQ(a.stats.queries_enumerated, b.stats.queries_enumerated);
-  EXPECT_EQ(a.stats.batches, b.stats.batches);
+  EXPECT_EQ(a.profile.candidates_enumerated, b.profile.candidates_enumerated);
+  EXPECT_EQ(a.profile.batches, b.profile.batches);
   // Prop 2 safety: parallel skipping never skips its way past work the
   // serial path had to do to certify the answer.
-  EXPECT_LE(b.stats.queries_evaluated + b.stats.skipped_by_condition,
-            a.stats.queries_enumerated);
+  EXPECT_LE(b.profile.candidates_evaluated + b.profile.skipped_by_condition,
+            a.profile.candidates_enumerated);
 }
 
 }  // namespace

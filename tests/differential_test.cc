@@ -93,13 +93,15 @@ TEST_P(DifferentialTest, StrategiesAgreeAcrossThreadCounts) {
     ExpectEquivalentTopK(ref, baseline, "baseline" + suffix);
     ExpectEquivalentTopK(ref, fast, "fasttopk" + suffix);
     // Pruning invariants hold at any thread count.
-    EXPECT_EQ(naive.stats.queries_evaluated, naive.stats.queries_enumerated)
+    EXPECT_EQ(naive.profile.candidates_evaluated,
+              naive.profile.candidates_enumerated)
         << suffix;
-    EXPECT_LE(baseline.stats.queries_evaluated,
-              naive.stats.queries_evaluated)
+    EXPECT_LE(baseline.profile.candidates_evaluated,
+              naive.profile.candidates_evaluated)
         << suffix;
-    EXPECT_LE(fast.stats.queries_evaluated + fast.stats.skipped_by_condition,
-              naive.stats.queries_evaluated)
+    EXPECT_LE(fast.profile.candidates_evaluated +
+                  fast.profile.skipped_by_condition,
+              naive.profile.candidates_evaluated)
         << suffix;
   }
 }

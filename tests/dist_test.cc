@@ -137,7 +137,7 @@ TEST_P(DistDifferentialTest, CoordinatorBitIdenticalToSingleNode) {
 
       // The slices are disjoint and covering: per-shard enumeration
       // counts sum to the single-node count.
-      EXPECT_EQ(got->queries_enumerated, refs[st].stats.queries_enumerated)
+      EXPECT_EQ(got->queries_enumerated, refs[st].profile.candidates_enumerated)
           << label;
     }
   }

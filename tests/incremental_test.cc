@@ -105,8 +105,8 @@ TEST(IncrementalSavingsTest, FewerRowEvaluationsThanRestart) {
       ninc.Search(edited, IncrementalMode::kFastTopKNInc);
 
   ExpectSameScores(inc_result, ninc_result, "inc-vs-ninc");
-  EXPECT_LT(inc_result.stats.query_row_evals,
-            ninc_result.stats.query_row_evals);
+  EXPECT_LT(inc_result.profile.query_row_evals,
+            ninc_result.profile.query_row_evals);
 }
 
 // Editing the same row twice in a row keeps results correct (stale-score

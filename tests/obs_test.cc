@@ -2,11 +2,14 @@
 // process-wide registry and its serializers, per-search trace spans,
 // and the end-to-end wiring through a real FASTTOPK search.
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/latency_histogram.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -271,7 +274,7 @@ TEST(ObsSearchTraceTest, FastTopKSearchProducesSpansAndCounters) {
   MetricsSnapshot after = reg.Snapshot();
   EXPECT_EQ(after.Value("s4_searches_total"), searches_before + 1);
   EXPECT_GE(after.Value("s4_candidates_evaluated_total"),
-            evaluated_before + result.stats.queries_evaluated);
+            evaluated_before + result.profile.candidates_evaluated);
   EXPECT_GE(after.Value("s4_cache_probe_hits_total") +
                 after.Value("s4_cache_probe_misses_total"),
             1);
@@ -480,22 +483,101 @@ TEST(ObsProfileTest, FormatProfileSectionsAndErrorBars) {
   EXPECT_NE(out.find("in [1.0000, 1.5000] @ 95% conf"), std::string::npos);
 }
 
-TEST(ObsProfileTest, SearchFillsProfileReconcilingWithStats) {
+// Registry movement of one published row over one search: counters by
+// exactly the profile value, seconds rows by one histogram observation
+// whose sum matches to the histogram's nanosecond resolution.
+void ExpectPublished(const MetricsSnapshot& before,
+                     const MetricsSnapshot& after, const char* metric,
+                     double seconds, const std::string& label) {
+  if (metric == nullptr) return;
+  const MetricsSnapshot::Entry* a = after.Find(metric);
+  ASSERT_NE(a, nullptr) << label;
+  const MetricsSnapshot::Entry* b = before.Find(metric);
+  const LatencyHistogram::Snapshot empty;
+  const LatencyHistogram::Snapshot& h0 = b != nullptr ? b->histogram : empty;
+  EXPECT_EQ(a->histogram.total - h0.total, 1) << label;
+  EXPECT_NEAR(a->histogram.sum_seconds - h0.sum_seconds, seconds, 2e-9)
+      << label;
+}
+
+template <typename Int>
+void ExpectPublished(const MetricsSnapshot& before,
+                     const MetricsSnapshot& after, const char* metric,
+                     Int value, const std::string& label) {
+  if (metric == nullptr) return;
+  EXPECT_EQ(after.Value(metric) - before.Value(metric),
+            static_cast<int64_t>(value))
+      << label;
+}
+
+// Every row with a registry name moves its registry metric by exactly
+// the profile value over one search: the profile and the registry are
+// one definition, published from one struct. Returns the profile.
+obs::QueryProfile ExpectRegistryReconcilesWithProfile(
+    const SearchOptions& options, const std::string& label) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  ExampleSpreadsheet sheet = Fig2aSheet(TpchIndex());
+  const MetricsSnapshot before = reg.Snapshot();
+  SearchResult result =
+      SearchFastTopK(TpchIndex(), TpchGraph(), sheet, options);
+  const MetricsSnapshot after = reg.Snapshot();
+  EXPECT_FALSE(result.topk.empty()) << label;
+  EXPECT_EQ(after.Value("s4_searches_total") -
+                before.Value("s4_searches_total"),
+            1)
+      << label;
+  const obs::QueryProfile& p = result.profile;
+#define S4_RECONCILE(type, name, merge, registry, ...) \
+  ExpectPublished(before, after, registry, p.name, label + " " #name);
+  S4_SEARCH_COUNTERS(S4_RECONCILE)
+#undef S4_RECONCILE
+  return p;
+}
+
+TEST(ObsProfileTest, RegistryReconcilesWithProfileSerial) {
   SearchOptions options;
   options.k = 3;
   options.num_threads = 1;
-  ExampleSpreadsheet sheet = Fig2aSheet(TpchIndex());
-  SearchResult result =
-      SearchFastTopK(TpchIndex(), TpchGraph(), sheet, options);
-  // FinishStats fills both views from the same accumulators — they can
-  // never drift.
-  EXPECT_EQ(result.profile.candidates_enumerated,
-            result.stats.queries_enumerated);
-  EXPECT_EQ(result.profile.candidates_evaluated,
-            result.stats.queries_evaluated);
-  EXPECT_EQ(result.profile.cache_hits, result.stats.cache.hits);
-  EXPECT_EQ(result.profile.rows_scanned, result.stats.counters.rows_scanned);
-  EXPECT_GE(result.profile.eval_seconds, 0.0);
+  const obs::QueryProfile p =
+      ExpectRegistryReconcilesWithProfile(options, "serial");
+  EXPECT_GT(p.candidates_evaluated, 0);
+  EXPECT_GT(p.rows_scanned, 0);
+  EXPECT_GT(p.cache_hits + p.cache_misses, 0);
+}
+
+TEST(ObsProfileTest, RegistryReconcilesWithProfileFourThreadPool) {
+  ThreadPool pool(4);
+  SearchOptions options;
+  options.k = 3;
+  options.num_threads = 4;
+  options.pool = &pool;
+  const obs::QueryProfile p =
+      ExpectRegistryReconcilesWithProfile(options, "pool4");
+  EXPECT_GT(p.candidates_evaluated, 0);
+  EXPECT_GT(p.hash_lookups, 0);
+}
+
+TEST(ObsProfileTest, RegistryReconcilesWithProfileApproximate) {
+  SearchOptions options;
+  options.k = 3;
+  options.num_threads = 1;
+  options.approx_epsilon = 0.05;
+  const obs::QueryProfile p =
+      ExpectRegistryReconcilesWithProfile(options, "approx");
+  EXPECT_GT(p.approx_sampled + p.approx_escalated, 0);
+  EXPECT_GT(p.approx_samples, 0);
+}
+
+// Adding a Sum row without a registry name would let the profile and
+// the registry drift again.
+TEST(ObsProfileTest, EverySumRowIsPublished) {
+#define S4_SUM_PUBLISHED(type, name, merge, registry, ...)       \
+  if (std::string_view(#merge) == "Sum") {                       \
+    const char* metric = registry;                               \
+    EXPECT_NE(metric, nullptr) << #name " has no registry name"; \
+  }
+  S4_SEARCH_COUNTERS(S4_SUM_PUBLISHED)
+#undef S4_SUM_PUBLISHED
 }
 
 }  // namespace

@@ -21,8 +21,8 @@ TEST(OrSemanticsTest, SupersetOfAndCandidates) {
       SearchOrSemantics(TpchIndex(), TpchGraph(), sheet, options);
 
   // OR enumerates at least as many queries in total.
-  EXPECT_GE(or_result.stats.queries_enumerated,
-            and_result.stats.queries_enumerated);
+  EXPECT_GE(or_result.profile.candidates_enumerated,
+            and_result.profile.candidates_enumerated);
 
   // Paper Fig 12(a): for fully-matched spreadsheets the top results of
   // OR and AND coincide — every AND top-k query also exists under OR,
@@ -60,8 +60,10 @@ TEST(OrSemanticsTest, NaiveAndFastAgree) {
     EXPECT_NEAR(fast.topk[i].score, naive.topk[i].score, 1e-9);
   }
   // NAIVE evaluates everything it enumerates.
-  EXPECT_EQ(naive.stats.queries_evaluated, naive.stats.queries_enumerated);
-  EXPECT_LE(fast.stats.queries_evaluated, naive.stats.queries_evaluated);
+  EXPECT_EQ(naive.profile.candidates_evaluated,
+            naive.profile.candidates_enumerated);
+  EXPECT_LE(fast.profile.candidates_evaluated,
+            naive.profile.candidates_evaluated);
 }
 
 // The "more direct way" (single extended candidate set) must return the
@@ -83,10 +85,10 @@ TEST(OrSemanticsTest, DirectMatchesSubsetUnion) {
   // candidates than the sum over subsets but at least as many as AND.
   SearchResult and_r = SearchFastTopK(TpchIndex(), TpchGraph(), sheet,
                                       options);
-  EXPECT_GE(direct.stats.queries_enumerated,
-            and_r.stats.queries_enumerated);
-  EXPECT_LE(direct.stats.queries_enumerated,
-            subset.stats.queries_enumerated);
+  EXPECT_GE(direct.profile.candidates_enumerated,
+            and_r.profile.candidates_enumerated);
+  EXPECT_LE(direct.profile.candidates_enumerated,
+            subset.profile.candidates_enumerated);
 }
 
 TEST(OrSemanticsTest, DirectHandlesUnmatchableColumn) {

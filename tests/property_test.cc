@@ -90,8 +90,8 @@ TEST_P(PropertyTest, StrategyInvariants) {
         << "seed " << seed << " rank " << i;
   }
   // (d)
-  EXPECT_LE(baseline.stats.queries_evaluated,
-            naive.stats.queries_evaluated);
+  EXPECT_LE(baseline.profile.candidates_evaluated,
+            naive.profile.candidates_evaluated);
 
   // (e): spot-check a few candidates cold vs warm.
   Evaluator ev(prep.ctx);

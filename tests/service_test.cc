@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "service/s4_service.h"
 #include "tests/test_util.h"
 
@@ -506,6 +507,22 @@ TEST(ServiceSlowLogTest, CapturesCompletedRequestsWithProfile) {
   const std::string json = service.SlowLogJson();
   EXPECT_NE(json.find("\"elapsed_ms\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"profile\":{"), std::string::npos) << json;
+  // The profile object keeps its key names; seconds rows print in ms.
+  for (const char* key :
+       {"enum_ms", "eval_ms", "candidates_enumerated", "candidates_evaluated",
+        "rows_scanned", "cache_hits", "cache_misses", "approx_samples"}) {
+    EXPECT_NE(json.find(std::string("\"") + key + "\":"), std::string::npos)
+        << key << " in " << json;
+  }
+  EXPECT_NE(json.find(StrFormat("\"eval_ms\":%.3f",
+                                log[0].profile.eval_seconds * 1e3)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(StrFormat(
+                "\"candidates_evaluated\":%lld",
+                static_cast<long long>(log[0].profile.candidates_evaluated))),
+            std::string::npos)
+      << json;
 }
 
 TEST(ServiceSlowLogTest, ThresholdFiltersFastRequests) {

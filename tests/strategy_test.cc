@@ -95,11 +95,13 @@ TEST(StrategyAgreementTest, TpchFig2a) {
   ExpectSameTopK(naive, baseline, "naive-vs-baseline");
   ExpectSameTopK(naive, fast, "naive-vs-fasttopk");
 
-  EXPECT_EQ(naive.stats.queries_evaluated, naive.stats.queries_enumerated);
-  EXPECT_LE(baseline.stats.queries_evaluated,
-            naive.stats.queries_evaluated);
-  EXPECT_LE(fast.stats.queries_evaluated + fast.stats.skipped_by_condition,
-            naive.stats.queries_evaluated);
+  EXPECT_EQ(naive.profile.candidates_evaluated,
+            naive.profile.candidates_enumerated);
+  EXPECT_LE(baseline.profile.candidates_evaluated,
+            naive.profile.candidates_evaluated);
+  EXPECT_LE(
+      fast.profile.candidates_evaluated + fast.profile.skipped_by_condition,
+      naive.profile.candidates_evaluated);
 }
 
 // Prop 5 / Thm 1: BASELINE evaluates exactly the minimal evaluation set
@@ -154,7 +156,7 @@ TEST(StrategyAgreementTest, BaselineEvaluatesMinimalSet) {
       }
     }
   }
-  EXPECT_EQ(baseline.stats.queries_evaluated,
+  EXPECT_EQ(baseline.profile.candidates_evaluated,
             static_cast<int64_t>(istar));
 }
 
@@ -190,7 +192,8 @@ TEST_P(StrategySweepTest, AllStrategiesAgreeOnCsupp) {
 
   ExpectSameTopK(naive, baseline, "naive-vs-baseline");
   ExpectSameTopK(naive, fast, "naive-vs-fast");
-  EXPECT_LE(baseline.stats.queries_evaluated, naive.stats.queries_evaluated);
+  EXPECT_LE(baseline.profile.candidates_evaluated,
+            naive.profile.candidates_evaluated);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -220,11 +223,11 @@ TEST(FastTopKTest, UsesCacheAndBatches) {
   options.k = 10;
   SearchResult fast =
       SearchFastTopK(*world.index, *world.graph, es->sheet, options);
-  EXPECT_GE(fast.stats.batches, 1);
+  EXPECT_GE(fast.profile.batches, 1);
   // On a schema with shared sub-expressions, FASTTOPK should find
   // critical sub-PJs and get cache hits.
-  EXPECT_GT(fast.stats.critical_subs_cached, 0);
-  EXPECT_GT(fast.stats.cache.hits, 0);
+  EXPECT_GT(fast.profile.critical_subs_cached, 0);
+  EXPECT_GT(fast.profile.cache_hits, 0);
 }
 
 TEST(FastTopKTest, ModelCostNotWorseThanBaseline) {
@@ -243,10 +246,10 @@ TEST(FastTopKTest, ModelCostNotWorseThanBaseline) {
   // FASTTOPK may evaluate more queries (up to (1+eps) * |Q_min|) but its
   // hash-operation count should benefit from sharing: allow slack but
   // catch pathological regressions.
-  EXPECT_LT(static_cast<double>(fast.stats.counters.hash_lookups +
-                                fast.stats.counters.hash_inserts),
-            2.0 * static_cast<double>(baseline.stats.counters.hash_lookups +
-                                      baseline.stats.counters.hash_inserts));
+  EXPECT_LT(static_cast<double>(fast.profile.hash_lookups +
+                                fast.profile.hash_inserts),
+            2.0 * static_cast<double>(baseline.profile.hash_lookups +
+                                      baseline.profile.hash_inserts));
 }
 
 TEST(StrategyTest, KLargerThanCandidates) {
@@ -257,7 +260,8 @@ TEST(StrategyTest, KLargerThanCandidates) {
       SearchFastTopK(TpchIndex(), TpchGraph(), sheet, options);
   SearchResult naive = SearchNaive(TpchIndex(), TpchGraph(), sheet, options);
   EXPECT_EQ(fast.topk.size(), naive.topk.size());
-  EXPECT_EQ(fast.stats.queries_evaluated, fast.stats.queries_enumerated);
+  EXPECT_EQ(fast.profile.candidates_evaluated,
+            fast.profile.candidates_enumerated);
 }
 
 TEST(StrategyTest, NoMatchesGivesEmptyTopK) {
@@ -267,17 +271,17 @@ TEST(StrategyTest, NoMatchesGivesEmptyTopK) {
   SearchOptions options;
   SearchResult r = SearchFastTopK(TpchIndex(), TpchGraph(), *sheet, options);
   EXPECT_TRUE(r.topk.empty());
-  EXPECT_EQ(r.stats.queries_enumerated, 0);
+  EXPECT_EQ(r.profile.candidates_enumerated, 0);
 }
 
 TEST(StrategyTest, StatsTimingSplitPopulated) {
   ExampleSpreadsheet sheet = Fig2aSheet(TpchIndex());
   SearchOptions options;
   SearchResult r = SearchFastTopK(TpchIndex(), TpchGraph(), sheet, options);
-  EXPECT_GT(r.stats.enum_seconds, 0.0);
-  EXPECT_GT(r.stats.eval_seconds, 0.0);
-  EXPECT_GT(r.stats.model_cost, 0);
-  EXPECT_EQ(r.stats.query_row_evals, r.stats.queries_evaluated * 3);
+  EXPECT_GT(r.profile.enum_seconds, 0.0);
+  EXPECT_GT(r.profile.eval_seconds, 0.0);
+  EXPECT_GT(r.profile.model_cost, 0);
+  EXPECT_EQ(r.profile.query_row_evals, r.profile.candidates_evaluated * 3);
 }
 
 }  // namespace

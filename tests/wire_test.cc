@@ -91,32 +91,19 @@ NetSearchRequest RandomRequest(Rng& rng) {
   return req;
 }
 
+void RandomScalar(Rng& rng, double* v) { *v = RandomDouble(rng); }
+void RandomScalar(Rng& rng, int64_t* v) {
+  *v = static_cast<int64_t>(rng.Next());
+}
+void RandomScalar(Rng& rng, uint64_t* v) { *v = rng.Next(); }
+
+// Every counter-table row randomized, the in-process-only rows too: the
+// round-trip suites check those decode as zero instead of riding along.
 obs::QueryProfile RandomProfile(Rng& rng) {
   obs::QueryProfile p;
-  p.total_seconds = RandomDouble(rng);
-  p.queue_seconds = RandomDouble(rng);
-  p.enum_seconds = RandomDouble(rng);
-  p.eval_seconds = RandomDouble(rng);
-  p.candidates_enumerated = static_cast<int64_t>(rng.Next());
-  p.candidates_evaluated = static_cast<int64_t>(rng.Next());
-  p.query_row_evals = static_cast<int64_t>(rng.Next());
-  p.skipped_by_condition = static_cast<int64_t>(rng.Next());
-  p.batches = static_cast<int64_t>(rng.Next());
-  p.bound_updates = static_cast<int64_t>(rng.Next());
-  p.rows_scanned = static_cast<int64_t>(rng.Next());
-  p.hash_lookups = static_cast<int64_t>(rng.Next());
-  p.hash_inserts = static_cast<int64_t>(rng.Next());
-  p.postings_scanned = static_cast<int64_t>(rng.Next());
-  p.cache_hits = static_cast<int64_t>(rng.Next());
-  p.cache_misses = static_cast<int64_t>(rng.Next());
-  p.cache_insertions = static_cast<int64_t>(rng.Next());
-  p.cache_evictions = static_cast<int64_t>(rng.Next());
-  p.cache_peak_bytes = rng.Next();
-  p.approx_sampled = static_cast<int64_t>(rng.Next());
-  p.approx_skipped = static_cast<int64_t>(rng.Next());
-  p.approx_escalated = static_cast<int64_t>(rng.Next());
-  p.approx_samples = static_cast<int64_t>(rng.Next());
-  p.approx_deadline_fallbacks = static_cast<int64_t>(rng.Next());
+#define S4_RANDOM_ROW(type, name, ...) RandomScalar(rng, &p.name);
+  S4_SEARCH_COUNTERS(S4_RANDOM_ROW)
+#undef S4_RANDOM_ROW
   const size_t n = rng.Uniform(4);
   for (size_t i = 0; i < n; ++i) {
     obs::ShardProfile s;
@@ -347,34 +334,27 @@ TEST(WireCodecTest, RequestRoundTripProperty) {
   }
 }
 
-// Field-by-field profile comparison shared by the response and
-// shard-done round-trip suites.
+::testing::AssertionResult ScalarEq(double a, double b) {
+  return BitEqual(a, b);
+}
+template <typename Int>
+::testing::AssertionResult ScalarEq(Int a, Int b) {
+  if (a == b) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << a << " != " << b;
+}
+
+// Row-by-row profile comparison shared by the response and shard-done
+// round-trip suites: wire rows bit-identical, in-process-only rows zero.
 void ExpectProfileEq(const obs::QueryProfile& got,
                      const obs::QueryProfile& want) {
-  EXPECT_TRUE(BitEqual(got.total_seconds, want.total_seconds));
-  EXPECT_TRUE(BitEqual(got.queue_seconds, want.queue_seconds));
-  EXPECT_TRUE(BitEqual(got.enum_seconds, want.enum_seconds));
-  EXPECT_TRUE(BitEqual(got.eval_seconds, want.eval_seconds));
-  EXPECT_EQ(got.candidates_enumerated, want.candidates_enumerated);
-  EXPECT_EQ(got.candidates_evaluated, want.candidates_evaluated);
-  EXPECT_EQ(got.query_row_evals, want.query_row_evals);
-  EXPECT_EQ(got.skipped_by_condition, want.skipped_by_condition);
-  EXPECT_EQ(got.batches, want.batches);
-  EXPECT_EQ(got.bound_updates, want.bound_updates);
-  EXPECT_EQ(got.rows_scanned, want.rows_scanned);
-  EXPECT_EQ(got.hash_lookups, want.hash_lookups);
-  EXPECT_EQ(got.hash_inserts, want.hash_inserts);
-  EXPECT_EQ(got.postings_scanned, want.postings_scanned);
-  EXPECT_EQ(got.cache_hits, want.cache_hits);
-  EXPECT_EQ(got.cache_misses, want.cache_misses);
-  EXPECT_EQ(got.cache_insertions, want.cache_insertions);
-  EXPECT_EQ(got.cache_evictions, want.cache_evictions);
-  EXPECT_EQ(got.cache_peak_bytes, want.cache_peak_bytes);
-  EXPECT_EQ(got.approx_sampled, want.approx_sampled);
-  EXPECT_EQ(got.approx_skipped, want.approx_skipped);
-  EXPECT_EQ(got.approx_escalated, want.approx_escalated);
-  EXPECT_EQ(got.approx_samples, want.approx_samples);
-  EXPECT_EQ(got.approx_deadline_fallbacks, want.approx_deadline_fallbacks);
+#define S4_WIRE_ROW_EQ(type, name, ...) \
+  EXPECT_TRUE(ScalarEq(got.name, want.name)) << #name;
+  S4_WIRE_COUNTERS(S4_WIRE_ROW_EQ)
+#undef S4_WIRE_ROW_EQ
+#define S4_LOCAL_ROW_ZERO(type, name, ...) \
+  EXPECT_TRUE(ScalarEq(got.name, type{})) << #name;
+  S4_LOCAL_COUNTERS(S4_LOCAL_ROW_ZERO)
+#undef S4_LOCAL_ROW_ZERO
   ASSERT_EQ(got.shards.size(), want.shards.size());
   for (size_t i = 0; i < want.shards.size(); ++i) {
     EXPECT_EQ(got.shards[i].shard_index, want.shards[i].shard_index);
