@@ -206,9 +206,9 @@ class SubQueryCache {
   // while other threads keep operating. peak_bytes is an atomic read.
   CacheStats stats() const;
 
-  // Shard count for a given evaluation thread count: one shard for the
-  // serial path (exact global LRU), else enough shards to keep
-  // lock contention low.
+  // Shard count for a given evaluation thread count: one shard for one
+  // thread (exact global LRU), else four per thread (capped at 64) to
+  // keep lock contention low. Defined for every int32_t input.
   static int32_t ShardsForThreads(int32_t num_threads);
 
   // Attaches a long-lived shared cache consulted on local misses and fed

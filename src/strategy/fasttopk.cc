@@ -64,9 +64,9 @@ class FastTopKRun {
         rts_(std::move(rts)),
         options_(options),
         topk_(static_cast<size_t>(options.k)),
+        exec_(options, rts_.size()),
         cache_(options.cache_budget_bytes,
-               SubQueryCache::ShardsForThreads(ResolveNumThreads(options))),
-        pool_(options, rts_.size()) {
+               SubQueryCache::ShardsForThreads(exec_.workers())) {
     // Cross-query sharing: misses in the per-run cache fall through to
     // the service's shared cache; insertions are republished there.
     if (options.shared_cache != nullptr) {
@@ -147,12 +147,7 @@ class FastTopKRun {
         options_.trace->AddInstant("fasttopk", "termination_check");
       }
     }
-    for (auto& [score, sq] : topk_.TakeSortedDescending()) {
-      (void)score;
-      result_.topk.push_back(std::move(sq));
-    }
-    result_.profile.eval_seconds = timer.ElapsedSeconds();
-    FinishStats(prep_, &cache_, &result_);
+    FinishRun(prep_, timer, &cache_, &topk_, &result_);
     return std::move(result_);
   }
 
@@ -219,8 +214,8 @@ class FastTopKRun {
 
   // Resolves batch candidates [lo, hi) by sampling where possible,
   // marking resolved slots so the exact machinery only sees the
-  // escalations. Estimates fan out to the pool (they are pure given the
-  // immutable sampler); skip/offer decisions replay serially in rank
+  // escalations. Estimates fan out on the executor (they are pure given
+  // the immutable sampler); skip/offer decisions replay serially in rank
   // order against the live heap, so a fixed thread count is
   // deterministic and the heap evolution matches the serial path.
   void ResolveBySampling(size_t lo, size_t hi, std::vector<bool>* resolved) {
@@ -244,11 +239,7 @@ class FastTopKRun {
                                    /*best_effort=*/deadline_fallback_,
                                    options_.trace);
     };
-    if (pool_.get() != nullptr && want.size() > 1) {
-      pool_.get()->ParallelFor(want.size(), estimate);
-    } else {
-      for (size_t j = 0; j < want.size(); ++j) estimate(j);
-    }
+    exec_.ParallelFor(want.size(), estimate);
 
     size_t next_want = 0;
     for (size_t i = lo; i < hi; ++i) {
@@ -257,7 +248,7 @@ class FastTopKRun {
       if (next_want < want.size() && want[next_want] == i) {
         est = &ests[next_want++];
       }
-      // Exact strict skip first (identical to EvaluateOne), so the
+      // Exact strict skip first (the one EvaluateRts applies), so the
       // epsilon-relaxed decisions below only ever see candidates the
       // exact path would have evaluated.
       if (topk_.Full() && rts_[i].ub < topk_.KthScore()) {
@@ -304,55 +295,44 @@ class FastTopKRun {
     }
   }
 
-  void EvaluateOne(size_t rt_index, bool offer_to_cache) {
-    // Skipping condition (heuristic 2, Sec 5.3.4): an upper bound below
-    // the current k-th score cannot enter the top-k. Strict so an exact
-    // tie (ub == kth) is still evaluated and resolved canonically.
-    if (topk_.Full() && rts_[rt_index].ub < topk_.KthScore()) {
-      ++result_.profile.skipped_by_condition;
-      return;
-    }
-    ScoredQuery sq =
-        EvaluateCandidate(prep_, rts_[rt_index], &cache_, offer_to_cache,
-                          options_, &result_.profile, &result_.evaluated);
-    OfferCounted(&topk_, std::move(sq), &result_.profile);
-  }
-
   // Evaluates the given candidates (already in deterministic order —
   // similarity order for a critical group, entry order for a batch
-  // remainder). Serial path: the legacy per-candidate loop, re-checking
-  // the skipping condition after every evaluation. Parallel path: skip
-  // decisions are frozen against the k-th score at entry (a group/batch
-  // boundary — Prop 2 still guarantees a skipped candidate cannot enter
-  // the top-k, so only the skip *count* can differ from serial), the
-  // survivors fan out to the pool sharing the sharded cache, and the
-  // outcomes merge back in order. Every decision point reads topk state
-  // only between fan-outs, so a fixed thread count is deterministic.
+  // remainder) in executor steps: the whole list on a pool, one
+  // candidate inline. Skip decisions are frozen against the k-th score
+  // at each step's entry, so inline the skipping condition is re-checked
+  // after every evaluation, as in the paper's serial schedule. On a pool
+  // Prop 2 still guarantees a skipped candidate cannot enter the top-k,
+  // so only the skip *count* can differ from serial. The step's
+  // survivors share the sharded cache and merge back in order; every
+  // decision reads heap state only between steps, so a fixed thread
+  // count is deterministic.
   void EvaluateRts(const std::vector<size_t>& rt_indices,
                    bool offer_to_cache) {
-    if (pool_.get() == nullptr || rt_indices.size() <= 1) {
-      for (size_t rt : rt_indices) EvaluateOne(rt, offer_to_cache);
-      return;
-    }
-    const bool full = topk_.Full();
-    const double kth = topk_.KthScore();
-    std::vector<size_t> live;
-    live.reserve(rt_indices.size());
-    for (size_t rt : rt_indices) {
-      if (full && rts_[rt].ub < kth) {
-        ++result_.profile.skipped_by_condition;
-      } else {
-        live.push_back(rt);
+    const size_t step = exec_.Step(rt_indices.size());
+    for (size_t lo = 0; lo < rt_indices.size(); lo += step) {
+      const size_t hi = std::min(rt_indices.size(), lo + step);
+      // Skipping condition (heuristic 2, Sec 5.3.4): an upper bound below
+      // the current k-th score cannot enter the top-k. Strict so an exact
+      // tie (ub == kth) is still evaluated and resolved canonically.
+      const bool full = topk_.Full();
+      const double kth = topk_.KthScore();
+      std::vector<size_t> live;
+      live.reserve(hi - lo);
+      for (size_t i = lo; i < hi; ++i) {
+        if (full && rts_[rt_indices[i]].ub < kth) {
+          ++result_.profile.skipped_by_condition;
+        } else {
+          live.push_back(rt_indices[i]);
+        }
       }
-    }
-    if (live.empty()) return;
-    std::vector<EvalOutcome> outcomes(live.size());
-    pool_.get()->ParallelFor(live.size(), [&](size_t j) {
-      outcomes[j] = EvaluateCandidateIsolated(prep_, rts_[live[j]], &cache_,
-                                              offer_to_cache, options_);
-    });
-    for (EvalOutcome& o : outcomes) {
-      MergeOutcome(std::move(o), &result_, &topk_);
+      std::vector<EvalOutcome> outcomes(live.size());
+      exec_.ParallelFor(live.size(), [&](size_t j) {
+        outcomes[j] = EvaluateCandidate(prep_, rts_[live[j]], &cache_,
+                                        offer_to_cache, options_);
+      });
+      for (EvalOutcome& o : outcomes) {
+        MergeOutcome(std::move(o), &result_, &topk_);
+      }
     }
   }
 
@@ -529,8 +509,8 @@ class FastTopKRun {
   const SearchOptions& options_;
   SearchResult result_;
   TopKHeap<ScoredQuery> topk_;
+  Executor exec_;  // before cache_: its worker count sizes the shards
   SubQueryCache cache_;
-  PoolHandle pool_;  // get() is null on the serial legacy path
   // Anytime approximate mode: null unless approx_epsilon > 0.
   std::unique_ptr<approx::JoinSampler> sampler_;
   // Latched once the run's deadline fires: remaining candidates finish

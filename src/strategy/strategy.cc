@@ -136,17 +136,17 @@ void SortRuntime(std::vector<RuntimeCandidate>* rts) {
 
 // One candidate evaluation is the atomic unit every driver schedules
 // around: stop-token polls and frozen-skip decisions happen only at the
-// drivers' batch / critical-group boundaries, never inside RowScores.
+// drivers' step / critical-group boundaries, never inside RowScores.
 // The evaluator's Stage-II batched probe loop keeps the serial emit
 // order and counter values, so upper bounds, skip conditions, and
 // early-termination tests see bit-identical inputs on every strategy.
-ScoredQuery EvaluateCandidate(PreparedSearch& prep,
+EvalOutcome EvaluateCandidate(PreparedSearch& prep,
                               const RuntimeCandidate& rt,
                               SubQueryCache* cache, bool offer_to_cache,
-                              const SearchOptions& options,
-                              obs::SearchCounters* counters,
-                              std::vector<EvaluatedRecord>* records) {
+                              const SearchOptions& options) {
   const CandidateQuery& cand = *rt.cand;
+  EvalOutcome out;
+  obs::SearchCounters* counters = &out.counters;
   obs::SpanTimer span(options.trace, "stage2", "evaluate_candidate");
   if (span.enabled()) {
     span.AddArg("query", cand.query.signature());
@@ -187,7 +187,7 @@ ScoredQuery EvaluateCandidate(PreparedSearch& prep,
                                 ? prep.ctx.NumEsRows()
                                 : static_cast<int64_t>(rt.es_rows.size());
 
-  ScoredQuery sq;
+  ScoredQuery& sq = out.sq;
   sq.query = cand.query;
   sq.upper_bound = rt.ub;
   sq.column_score = cand.column_score;
@@ -198,11 +198,8 @@ ScoredQuery EvaluateCandidate(PreparedSearch& prep,
   // consumers (wire, coordinator merge) read one uniform field.
   sq.interval.lo = sq.interval.hi = sq.score;
   sq.interval.confidence = 1.0;
-  if (records != nullptr) {
-    records->push_back(
-        EvaluatedRecord{cand.query.signature(), std::move(row_scores)});
-  }
-  return sq;
+  out.record = EvaluatedRecord{cand.query.signature(), std::move(row_scores)};
+  return out;
 }
 
 void AddEvalCounters(const EvalCounters& eval,
@@ -213,9 +210,15 @@ void AddEvalCounters(const EvalCounters& eval,
   counters->postings_scanned += eval.postings_scanned;
 }
 
-void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
-                 SearchResult* result) {
+void FinishRun(const PreparedSearch& prep, const WallTimer& timer,
+               const SubQueryCache* cache, TopKHeap<ScoredQuery>* topk,
+               SearchResult* result) {
+  for (auto& [score, sq] : topk->TakeSortedDescending()) {
+    (void)score;
+    result->topk.push_back(std::move(sq));
+  }
   obs::QueryProfile& p = result->profile;
+  p.eval_seconds = timer.ElapsedSeconds();
   p.candidates_enumerated = static_cast<int64_t>(prep.candidates.size());
   p.enum_seconds = prep.enum_seconds;
   if (cache != nullptr) {
@@ -229,31 +232,60 @@ void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
   obs::PublishSearch(p);
 }
 
-int32_t ResolveNumThreads(const SearchOptions& options) {
-  if (options.num_threads > 0) return options.num_threads;
-  if (options.pool != nullptr) return options.pool->num_threads();
-  return ThreadPool::DefaultThreads();
+Executor::Executor(const SearchOptions& options, size_t work_items) {
+  if (options.num_threads > 0) {
+    workers_ = options.num_threads;
+  } else {
+    workers_ = options.pool != nullptr ? options.pool->num_threads()
+                                       : ThreadPool::DefaultThreads();
+  }
+  if (options.pool != nullptr) {
+    workers_ = std::min(workers_, options.pool->num_threads());
+  }
+  if (work_items <= 1 || workers_ <= 1) return;
+  if (options.pool != nullptr) {
+    pool_ = options.pool;
+  } else {
+    owned_ = std::make_unique<ThreadPool>(workers_);
+    pool_ = owned_.get();
+  }
 }
 
-EvalOutcome EvaluateCandidateIsolated(PreparedSearch& prep,
-                                      const RuntimeCandidate& rt,
-                                      SubQueryCache* cache,
-                                      bool offer_to_cache,
-                                      const SearchOptions& options) {
-  EvalOutcome out;
-  out.sq = EvaluateCandidate(prep, rt, cache, offer_to_cache, options,
-                             &out.counters, &out.records);
-  return out;
+void Executor::ParallelFor(size_t n,
+                           const std::function<void(size_t)>& fn) const {
+  if (pool_ == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool_->ParallelFor(n, fn);
 }
 
 void MergeOutcome(EvalOutcome&& outcome, SearchResult* result,
                   TopKHeap<ScoredQuery>* topk) {
   result->profile.Accumulate(outcome.counters);
-  for (EvaluatedRecord& rec : outcome.records) {
-    result->evaluated.push_back(std::move(rec));
-  }
+  result->evaluated.push_back(std::move(outcome.record));
   OfferCounted(topk, std::move(outcome.sq), &result->profile);
 }
+
+namespace {
+
+// Evaluates rts[lo, hi) on the executor without a cache: the fan-out
+// step shared by NAIVE and BASELINE, one outcome per candidate in rank
+// order.
+std::vector<EvalOutcome> EvaluateRange(PreparedSearch& prep,
+                                       const std::vector<RuntimeCandidate>& rts,
+                                       size_t lo, size_t hi,
+                                       const Executor& exec,
+                                       const SearchOptions& options) {
+  std::vector<EvalOutcome> outcomes(hi - lo);
+  exec.ParallelFor(hi - lo, [&](size_t j) {
+    outcomes[j] = EvaluateCandidate(prep, rts[lo + j], /*cache=*/nullptr,
+                                    /*offer_to_cache=*/false, options);
+  });
+  return outcomes;
+}
+
+}  // namespace
 
 SearchResult RunBaselineCore(PreparedSearch& prep,
                              std::vector<RuntimeCandidate> rts,
@@ -270,56 +302,32 @@ SearchResult RunBaselineCore(PreparedSearch& prep,
     return rank + 1 < rts.size() && topk.Full() &&
            topk.KthScore() > rts[rank + 1].ub;
   };
-  PoolHandle pool(options, rts.size());
-  if (pool.get() == nullptr) {
-    for (size_t i = 0; i < rts.size(); ++i) {
-      if (StopRequested(options)) {
-        result.interrupted = true;
-        break;
-      }
-      ScoredQuery sq =
-          EvaluateCandidate(prep, rts[i], /*cache=*/nullptr,
-                            /*offer_to_cache=*/false, options, &result.profile,
-                            &result.evaluated);
-      OfferCounted(&topk, std::move(sq), &result.profile);
-      EmitProgress(options, topk, rts, i + 1, result.profile);
-      if (stop_after(i)) break;
+  // Speculative lookahead: evaluate a step of 2 candidates per worker,
+  // then replay the outcomes in rank order applying condition (7)
+  // exactly as the serial scan does. Outcomes past the stop point are
+  // dropped unmerged, so the top-k, session records, and stats —
+  // including the Thm-1 minimal evaluation count — are identical at any
+  // thread count; the only speculative waste is the rest of the step
+  // holding the stopping rank. Inline the step is one candidate and
+  // nothing is speculative.
+  Executor exec(options, rts.size());
+  const size_t step = exec.Step(2 * static_cast<size_t>(exec.workers()));
+  bool stop = false;
+  for (size_t lo = 0; lo < rts.size() && !stop; lo += step) {
+    if (StopRequested(options)) {
+      result.interrupted = true;
+      break;
     }
-  } else {
-    // Speculative lookahead: evaluate a block of candidates in parallel,
-    // then replay the outcomes in rank order applying condition (7)
-    // exactly as the serial scan would. Outcomes past the stop point are
-    // dropped unmerged, so the top-k, session records, and stats —
-    // including the Thm-1 minimal evaluation count — are identical to
-    // the serial path at any thread count; the only speculative waste is
-    // at most one block beyond the stopping rank.
-    const size_t block = 2 * static_cast<size_t>(ResolveNumThreads(options));
-    bool stop = false;
-    for (size_t lo = 0; lo < rts.size() && !stop; lo += block) {
-      if (StopRequested(options)) {
-        result.interrupted = true;
-        break;
-      }
-      const size_t hi = std::min(rts.size(), lo + block);
-      std::vector<EvalOutcome> outcomes(hi - lo);
-      pool.get()->ParallelFor(hi - lo, [&](size_t j) {
-        outcomes[j] = EvaluateCandidateIsolated(
-            prep, rts[lo + j], /*cache=*/nullptr,
-            /*offer_to_cache=*/false, options);
-      });
-      for (size_t j = 0; j < outcomes.size() && !stop; ++j) {
-        MergeOutcome(std::move(outcomes[j]), &result, &topk);
-        EmitProgress(options, topk, rts, lo + j + 1, result.profile);
-        stop = stop_after(lo + j);
-      }
+    const size_t hi = std::min(rts.size(), lo + step);
+    std::vector<EvalOutcome> outcomes =
+        EvaluateRange(prep, rts, lo, hi, exec, options);
+    for (size_t j = 0; j < outcomes.size() && !stop; ++j) {
+      MergeOutcome(std::move(outcomes[j]), &result, &topk);
+      EmitProgress(options, topk, rts, lo + j + 1, result.profile);
+      stop = stop_after(lo + j);
     }
   }
-  for (auto& [score, sq] : topk.TakeSortedDescending()) {
-    (void)score;
-    result.topk.push_back(std::move(sq));
-  }
-  result.profile.eval_seconds = timer.ElapsedSeconds();
-  FinishStats(prep, nullptr, &result);
+  FinishRun(prep, timer, /*cache=*/nullptr, &topk, &result);
   return result;
 }
 
@@ -331,51 +339,25 @@ SearchResult RunNaive(PreparedSearch& prep, const SearchOptions& options) {
   TopKHeap<ScoredQuery> topk(static_cast<size_t>(options.k));
   std::vector<internal::RuntimeCandidate> rts =
       internal::MakePlainRuntime(prep.candidates);
-  internal::PoolHandle pool(options, rts.size());
-  if (pool.get() == nullptr) {
-    for (size_t i = 0; i < rts.size(); ++i) {
-      if (internal::StopRequested(options)) {
-        result.interrupted = true;
-        break;
-      }
-      ScoredQuery sq =
-          internal::EvaluateCandidate(prep, rts[i], /*cache=*/nullptr,
-                                      /*offer_to_cache=*/false, options,
-                                      &result.profile, &result.evaluated);
-      internal::OfferCounted(&topk, std::move(sq), &result.profile);
-      internal::EmitProgress(options, topk, rts, i + 1, result.profile);
+  // Cache-less evaluations are fully independent: evaluate steps of 8
+  // candidates per worker (step boundaries double as stop-token poll and
+  // progress points) and merge in candidate order, which reproduces the
+  // serial result bit-for-bit (heap tie-breaking included).
+  internal::Executor exec(options, rts.size());
+  const size_t step = exec.Step(8 * static_cast<size_t>(exec.workers()));
+  for (size_t lo = 0; lo < rts.size(); lo += step) {
+    if (internal::StopRequested(options)) {
+      result.interrupted = true;
+      break;
     }
-  } else {
-    // Cache-less evaluations are fully independent: fan blocks out to
-    // the pool (block boundaries double as stop-token poll points) and
-    // merge in candidate order, which reproduces the serial result
-    // bit-for-bit (heap tie-breaking included).
-    const size_t block =
-        8 * static_cast<size_t>(internal::ResolveNumThreads(options));
-    for (size_t lo = 0; lo < rts.size(); lo += block) {
-      if (internal::StopRequested(options)) {
-        result.interrupted = true;
-        break;
-      }
-      const size_t hi = std::min(rts.size(), lo + block);
-      std::vector<internal::EvalOutcome> outcomes(hi - lo);
-      pool.get()->ParallelFor(hi - lo, [&](size_t j) {
-        outcomes[j] = internal::EvaluateCandidateIsolated(
-            prep, rts[lo + j], /*cache=*/nullptr, /*offer_to_cache=*/false,
-            options);
-      });
-      for (internal::EvalOutcome& o : outcomes) {
-        internal::MergeOutcome(std::move(o), &result, &topk);
-      }
-      internal::EmitProgress(options, topk, rts, hi, result.profile);
+    const size_t hi = std::min(rts.size(), lo + step);
+    for (internal::EvalOutcome& o :
+         internal::EvaluateRange(prep, rts, lo, hi, exec, options)) {
+      internal::MergeOutcome(std::move(o), &result, &topk);
     }
+    internal::EmitProgress(options, topk, rts, hi, result.profile);
   }
-  for (auto& [score, sq] : topk.TakeSortedDescending()) {
-    (void)score;
-    result.topk.push_back(std::move(sq));
-  }
-  result.profile.eval_seconds = timer.ElapsedSeconds();
-  internal::FinishStats(prep, nullptr, &result);
+  internal::FinishRun(prep, timer, /*cache=*/nullptr, &topk, &result);
   return result;
 }
 

@@ -37,19 +37,25 @@ struct SearchOptions {
   // Evaluation ablation: paper's drop-zero-rows Stage II shortcut.
   bool drop_zero_rows = false;
   // Worker threads for Stage-II candidate evaluation, the online
-  // bottleneck (Fig 5): 0 = auto (std::thread::hardware_concurrency()),
-  // 1 = the exact serial legacy path. Candidate evaluations are
+  // bottleneck (Fig 5): 0 = auto (the injected pool's size, else
+  // std::thread::hardware_concurrency()); 1 = evaluate inline on the
+  // search thread, the paper's serial schedule. Candidate evaluations are
   // independent given the shared sub-PJ cache, so any thread count
-  // returns the same top-k set and scores (Thms 3-5); order-dependent
-  // bookkeeping (skipping-condition hits, cache hit/miss counts, model
-  // cost) may differ from the serial path but stays deterministic for a
-  // fixed thread count. See DESIGN.md "Parallel evaluation model".
+  // returns the same top-k set and scores (Thms 3-5), and NAIVE/BASELINE
+  // reproduce every serial counter. FASTTOPK's skip decisions are frozen
+  // per fan-out, so its skipping-condition hits may differ from the
+  // serial run but are deterministic for a fixed thread count; its cache
+  // hit/miss counts, Stage-II work counters (rows scanned, hash inserts)
+  // and model cost depend on which worker builds a shared table first
+  // and can differ between two runs of the same parallel search. See
+  // DESIGN.md "Parallel evaluation model".
   int32_t num_threads = 0;
 
   // --- service-layer plumbing (DESIGN.md "Service layer") -------------
   // Shared evaluation pool: when set, strategies fan out on it instead
-  // of constructing a pool per call (num_threads = 1 still forces the
-  // serial path; num_threads = 0 resolves to the pool's size). Not owned.
+  // of constructing a pool per call (num_threads = 1 still evaluates
+  // inline; 0 resolves to the pool's size, and a count above it is
+  // clamped to it). Not owned.
   ThreadPool* pool = nullptr;
   // Cooperative cancellation/deadline, polled at strategy batch/group
   // boundaries; on observation the run returns its partial top-k with

@@ -1,12 +1,14 @@
 #ifndef S4_STRATEGY_STRATEGY_INTERNAL_H_
 #define S4_STRATEGY_STRATEGY_INTERNAL_H_
 
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "common/topk_heap.h"
 #include "strategy/strategy.h"
 
@@ -33,78 +35,78 @@ std::vector<RuntimeCandidate> MakePlainRuntime(
 // Sorts by (ub desc, signature asc).
 void SortRuntime(std::vector<RuntimeCandidate>* rts);
 
+// Everything one candidate evaluation produces: the scored query plus
+// its counter delta and session record. An evaluation writes only its
+// own outcome, so it can run on a pool worker; outcomes merge on the
+// search thread in deterministic candidate order (no hot-path atomics),
+// which keeps top-k tie-breaking and counters reproducible.
+struct EvalOutcome {
+  ScoredQuery sq;
+  obs::SearchCounters counters;
+  EvaluatedRecord record;
+};
+
 // Evaluates one candidate (type-a operator on a full PJ query): runs the
 // hash-join plan on the candidate's row subset, merges prior row scores,
 // and produces the final Eq. 5 score plus the session record.
-ScoredQuery EvaluateCandidate(PreparedSearch& prep,
+// Thread-safe given a sharded cache: every other input is read-only
+// during a run.
+EvalOutcome EvaluateCandidate(PreparedSearch& prep,
                               const RuntimeCandidate& rt,
                               SubQueryCache* cache, bool offer_to_cache,
-                              const SearchOptions& options,
-                              obs::SearchCounters* counters,
-                              std::vector<EvaluatedRecord>* records);
+                              const SearchOptions& options);
 
 // Folds the evaluator's Stage-II counters into the table's Stage-II rows
 // (the one place EvalCounters meets the per-search counters).
 void AddEvalCounters(const EvalCounters& eval, obs::SearchCounters* counters);
 
-// Shared epilogue: fold the enumeration size and the per-run cache
-// stats into `result->profile`, then bulk-publish the run into the
-// metrics registry.
-void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
-                 SearchResult* result);
+// Shared epilogue of every strategy run: drain the heap into
+// `result->topk` (descending score), stamp eval_seconds from `timer`,
+// fold the enumeration size and the per-run cache stats into
+// `result->profile`, then bulk-publish the run into the metrics
+// registry.
+void FinishRun(const PreparedSearch& prep, const WallTimer& timer,
+               const SubQueryCache* cache, TopKHeap<ScoredQuery>* topk,
+               SearchResult* result);
 
-// SearchOptions::num_threads resolved: <= 0 means auto (the injected
-// pool's size when one is set, else one worker per hardware thread).
-int32_t ResolveNumThreads(const SearchOptions& options);
-
-// True once the run's stop token (if any) fired; polled at batch/group
+// True once the run's stop token (if any) fired; polled at step/group
 // boundaries so the evaluation loops stay synchronization-free.
 inline bool StopRequested(const SearchOptions& options) {
   return options.stop != nullptr && options.stop->ShouldStop();
 }
 
-// Owns-or-borrows the Stage-II evaluation pool: borrows
-// SearchOptions::pool when injected (the service's machine-sized shared
-// pool), else constructs one for this call (the legacy per-call path).
-// get() is null on the serial path (resolved threads <= 1 or nothing to
-// fan out).
-class PoolHandle {
+// Runs a strategy's Stage-II fan-outs. The worker count is resolved
+// once from SearchOptions::num_threads: <= 0 means auto (the injected
+// pool's size, else one worker per hardware thread), and a count above
+// the injected pool's size is clamped to it, since that pool cannot run
+// more at once. ParallelFor runs on the injected pool (the service's
+// shared one), on a pool built for this run, or inline on the search
+// thread when the run has one worker or at most one work item.
+//
+// Each driver has one evaluation loop that walks its candidates in
+// fan-out steps of Step(pooled) candidates. Inline a step is one
+// candidate, so the loop runs the paper's serial schedule: the
+// stop-token polls, skip checks and progress snapshots that sit at step
+// boundaries happen after every evaluation.
+class Executor {
  public:
-  PoolHandle(const SearchOptions& options, size_t work_items) {
-    if (work_items <= 1 || ResolveNumThreads(options) <= 1) return;
-    if (options.pool != nullptr) {
-      pool_ = options.pool;
-    } else {
-      owned_ = std::make_unique<ThreadPool>(ResolveNumThreads(options));
-      pool_ = owned_.get();
-    }
-  }
+  Executor(const SearchOptions& options, size_t work_items);
 
-  ThreadPool* get() const { return pool_; }
+  // Resolved worker count, >= 1 (also sizes FASTTOPK's cache shards).
+  int32_t workers() const { return workers_; }
+
+  // Candidates per fan-out step: `pooled` on a pool, 1 inline.
+  size_t Step(size_t pooled) const { return pool_ == nullptr ? 1 : pooled; }
+
+  // Runs fn(i) for every i in [0, n) and returns when all are done;
+  // inline and in index order without a pool or when n <= 1.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn) const;
 
  private:
+  int32_t workers_ = 1;
   std::unique_ptr<ThreadPool> owned_;
   ThreadPool* pool_ = nullptr;
 };
-
-// Everything one candidate evaluation produces, isolated for off-thread
-// execution: the scored query plus per-candidate counter/record deltas.
-// Workers never touch shared accumulators; outcomes are merged at join
-// points in deterministic candidate order (no hot-path atomics), which
-// keeps topk tie-breaking and counters reproducible at any thread count.
-struct EvalOutcome {
-  ScoredQuery sq;
-  obs::SearchCounters counters;
-  std::vector<EvaluatedRecord> records;
-};
-
-// EvaluateCandidate writing into a fresh EvalOutcome (thread-safe given
-// a sharded cache: all other inputs are read-only during a run).
-EvalOutcome EvaluateCandidateIsolated(PreparedSearch& prep,
-                                      const RuntimeCandidate& rt,
-                                      SubQueryCache* cache,
-                                      bool offer_to_cache,
-                                      const SearchOptions& options);
 
 // Offers a scored query to the heap, counting the offer as a bound
 // update in `counters` when it raised the k-th best score (the
@@ -123,8 +125,8 @@ inline void OfferCounted(TopKHeap<ScoredQuery>* topk, ScoredQuery sq,
   }
 }
 
-// Folds one outcome into the run result and heap. Must be called in
-// deterministic candidate order.
+// Folds one outcome into the run result and heap: the only merge of
+// exact evaluations. Must be called in deterministic candidate order.
 void MergeOutcome(EvalOutcome&& outcome, SearchResult* result,
                   TopKHeap<ScoredQuery>* topk);
 

@@ -1,6 +1,7 @@
 // Sub-PJ query cache: LRU replacement, budget enforcement, pinning,
 // byte accounting, and sharded concurrent access.
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,11 @@ TEST(ShardedCacheTest, ShardsForThreads) {
   EXPECT_EQ(SubQueryCache::ShardsForThreads(1), 1);
   EXPECT_GT(SubQueryCache::ShardsForThreads(4), 1);
   EXPECT_LE(SubQueryCache::ShardsForThreads(1024), 64);
+  // A thread count off the wire can be anything: saturate, never
+  // overflow num_threads * 4.
+  EXPECT_EQ(SubQueryCache::ShardsForThreads(
+                std::numeric_limits<int32_t>::max()),
+            64);
 }
 
 TEST(ShardedCacheTest, BasicOpsAcrossShards) {

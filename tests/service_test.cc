@@ -4,6 +4,8 @@
 // without corrupting shared state, reject on a full admission queue,
 // order the queue by priority, and keep incremental sessions exact.
 #include <future>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +148,77 @@ TEST(ServiceDifferentialTest, ConcurrentMatchesSerialAllStrategies) {
   // The workload repeats every spreadsheet many times, so the
   // cross-query cache must have served hits.
   EXPECT_GT(stats.shared_cache.hits, 0);
+}
+
+// The CSUPP-sim system and spreadsheet of the determinism goldens: big
+// enough that BASELINE stops far short of its candidate list (the
+// Figure-1 database enumerates only a handful).
+const S4System& CsuppSystem() {
+  static const S4System& system = *[] {
+    auto s = S4System::Create(testing::CsuppDb());
+    if (!s.ok()) abort();
+    return s->release();
+  }();
+  return system;
+}
+
+Cells CsuppCells() {
+  const ExampleSpreadsheet sheet =
+      testing::CsuppSheet(CsuppSystem().index(), CsuppSystem().graph());
+  Cells cells(static_cast<size_t>(sheet.NumRows()));
+  for (int32_t r = 0; r < sheet.NumRows(); ++r) {
+    for (int32_t c = 0; c < sheet.NumColumns(); ++c) {
+      cells[r].push_back(sheet.cell(r, c).raw);
+    }
+  }
+  return cells;
+}
+
+TEST(ServiceThreadsTest, OversizedThreadCountClampsToThePool) {
+  // num_threads arrives unchecked off the wire. Behind a service it is
+  // clamped to the injected pool, so an absurd count must answer exactly
+  // like auto (0 = the pool's size) and must not inflate the work:
+  // BASELINE's speculative step stays 2 candidates per pool worker.
+  ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.eval_threads = 2;
+  S4Service service(CsuppSystem(), sopts);
+  const Cells cells = CsuppCells();
+  for (S4System::Strategy strategy :
+       {S4System::Strategy::kNaive, S4System::Strategy::kBaseline,
+        S4System::Strategy::kFastTopK}) {
+    std::vector<SearchResult> results;
+    std::vector<std::shared_ptr<obs::Trace>> traces;
+    for (int32_t threads : {0, std::numeric_limits<int32_t>::max()}) {
+      ServiceRequest req;
+      req.cells = cells;
+      req.options.k = 8;
+      req.options.enumeration.max_tree_size = 4;
+      req.options.num_threads = threads;
+      req.strategy = strategy;
+      req.trace = std::make_shared<obs::Trace>();
+      traces.push_back(req.trace);
+      auto r = service.Search(std::move(req));
+      ASSERT_TRUE(r.ok()) << r.status();
+      results.push_back(std::move(r).value());
+    }
+    const std::string label =
+        "strategy=" + std::to_string(static_cast<int>(strategy));
+    ExpectBitIdentical(results[0], results[1], label);
+    if (strategy != S4System::Strategy::kBaseline) continue;
+    const obs::QueryProfile& p = results[1].profile;
+    // The bound below only bites if BASELINE stopped well short of the
+    // candidate list.
+    ASSERT_LT(p.candidates_evaluated + 3, p.candidates_enumerated) << label;
+    int64_t evaluate_spans = 0;
+    for (const auto& e : traces[1]->ExportSegment().events) {
+      if (e.category == "stage2" && e.name == "evaluate_candidate") {
+        ++evaluate_spans;
+      }
+    }
+    EXPECT_GE(evaluate_spans, p.candidates_evaluated) << label;
+    EXPECT_LE(evaluate_spans, p.candidates_evaluated + 3) << label;
+  }
 }
 
 TEST(ServiceDeadlineTest, TinyDeadlineFailsWithoutCorruptingCache) {

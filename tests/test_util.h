@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "common/fd.h"
+#include "datagen/es_gen.h"
+#include "datagen/synthetic.h"
 #include "datagen/tpch_mini.h"
 #include "index/index_set.h"
 #include "net/socket_util.h"
@@ -51,6 +53,36 @@ inline const IndexSet& TpchIndex() {
 inline const SchemaGraph& TpchGraph() {
   static const SchemaGraph& g = *new SchemaGraph(TpchDb());
   return g;
+}
+
+// A small CSUPP-sim database, built once per process: big enough that
+// CsuppSheet enumerates hundreds of candidates (max_tree_size 4) and
+// BASELINE stops far short of them. The determinism goldens are pinned
+// on it.
+inline const Database& CsuppDb() {
+  static const Database& db = *new Database([] {
+    datagen::CsuppSimOptions opts;
+    opts.num_cities = 15;
+    opts.num_customers = 50;
+    opts.num_products = 30;
+    opts.num_agents = 20;
+    opts.num_tickets = 160;
+    opts.num_notes = 220;
+    auto d = datagen::MakeCsuppSim(opts);
+    if (!d.ok()) abort();
+    return std::move(d).value();
+  }());
+  return db;
+}
+
+// The generated example spreadsheet over CsuppDb (fixed seed).
+inline ExampleSpreadsheet CsuppSheet(const IndexSet& index,
+                                     const SchemaGraph& graph) {
+  datagen::EsGenerator gen(index, graph, /*seed=*/77);
+  if (!gen.Init(/*min_text_columns=*/6, /*max_tree_size=*/4).ok()) abort();
+  auto es = gen.Generate();
+  if (!es.ok()) abort();
+  return std::move(es->sheet);
 }
 
 // The example spreadsheet of Figure 2(a).
