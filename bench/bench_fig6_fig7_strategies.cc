@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
   // the whole workload at 1/2/4/8 evaluation threads. The top-k score
   // checksum must be identical at every thread count (Thm 3 preserved
   // by the batch-boundary merge); the speedup column is only meaningful
-  // on a machine with that many hardware threads.
+  // on a machine with that many hardware threads, since a count above
+  // the hardware thread count is clamped to it.
   const int32_t max_threads =
       static_cast<int32_t>(EnvInt("S4_BENCH_THREADS_MAX", 8));
   std::printf("\nThread sweep: FASTTOPK evaluation (whole workload)\n");

@@ -16,8 +16,10 @@
 // score, e.g. 0.05) lets the server resolve low-impact candidates by
 // sampling instead of exact evaluation; --confidence C (default 0.95)
 // sets the per-candidate confidence of the sampled intervals; --budget N
-// caps join-result rows walked per candidate. --deadline S (seconds)
-// bounds server-side search time; with a nonzero epsilon the server
+// caps join-result rows walked per candidate. --deadline S (seconds,
+// finite, >= 0; 0 = the server's default) travels in the request's
+// SearchSpec and bounds server-side time from admission, queue wait
+// included; with a nonzero epsilon the server
 // degrades to bounded-error sampling instead of truncating. Approximate
 // hits print their score bracket:
 //   ./net_client --port 4321 --epsilon 0.05 "The Matrix" "Keanu Reeves"
@@ -84,7 +86,6 @@ int main(int argc, char** argv) {
   bool ping_only = false;
   bool want_profile = false;
   bool slow_log_only = false;
-  double deadline_seconds = 0.0;
   const char* trace_out = nullptr;
   std::vector<Mutation> mutations;
   std::vector<std::vector<std::string>> cells(1);
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
       options.sample_budget = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--deadline") == 0 && i + 1 < argc) {
-      deadline_seconds = std::atof(argv[++i]);
+      options.deadline_seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--insert") == 0 && i + 1 < argc) {
@@ -197,6 +198,9 @@ int main(int argc, char** argv) {
                  " [--epsilon E] [--confidence C] [--budget N]"
                  " [--deadline S] [--profile] cell"
                  " [cell ...] [/ cell ...]\n"
+                 "       (--epsilon, --confidence, --budget and --deadline"
+                 " set the request's SearchSpec; the server rejects"
+                 " out-of-range values)\n"
                  "       net_client [--slow-log]\n"
                  "       net_client [--insert \"table,v1,...\"]"
                  " [--delete \"table,pk\"]"
@@ -205,9 +209,8 @@ int main(int argc, char** argv) {
   }
 
   uint64_t request_id = 0;
-  net::NetSearchRequest request = net::NetSearchRequest::From(
-      cells, options, S4System::Strategy::kFastTopK,
-      /*priority=*/0, deadline_seconds);
+  net::NetSearchRequest request =
+      net::NetSearchRequest::From(cells, options, S4System::Strategy::kFastTopK);
   request.want_profile = want_profile;
   auto result = client.Search(request, &request_id);
   if (!result.ok()) {

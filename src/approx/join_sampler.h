@@ -18,7 +18,7 @@ class Trace;
 namespace approx {
 
 // Knobs of the anytime approximate mode, lifted verbatim from
-// SearchOptions (see ValidateSearchOptions for the accepted ranges).
+// SearchOptions (see ValidateSearchSpec for the accepted ranges).
 struct ApproxParams {
   double epsilon = 0.0;       // relative slack on the k-th score
   double confidence = 0.95;   // per-candidate interval confidence

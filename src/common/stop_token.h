@@ -25,8 +25,16 @@ class StopToken {
   // deadlines are set at construction or via SetDeadline in place.
   explicit StopToken(double deadline_seconds) { SetDeadline(deadline_seconds); }
 
-  // Arms (or re-arms) the deadline `seconds` from now.
+  // Arms (or re-arms) the deadline `seconds` from now. A deadline of
+  // kNoDeadlineSeconds (about 31 years) or more, infinity included,
+  // saturates to no deadline at all: the clock's int64 nanosecond ticks
+  // overflow near 9.2e9 s, which would expire the token at once.
+  static constexpr double kNoDeadlineSeconds = 1e9;
   void SetDeadline(double seconds) {
+    if (!(seconds < kNoDeadlineSeconds)) {
+      has_deadline_ = false;
+      return;
+    }
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(seconds));

@@ -193,8 +193,8 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
 
   net::NetShardSearchRequest sreq;
   sreq.base = request;
-  sreq.shard_count = static_cast<int32_t>(options_.shards.size());
-  sreq.shard_index = index;
+  sreq.base.spec.shard_count = static_cast<int32_t>(options_.shards.size());
+  sreq.base.spec.shard_index = index;
   sreq.partial_every = options_.partial_every;
   if (state.trace != nullptr) {
     // Cross-shard trace propagation: the shard records its own segment
@@ -208,7 +208,7 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
   if (state.budget > 0.0) {
     // Grant the shard a slice of what is left, keeping headroom for the
     // final merge and the wire.
-    sreq.base.deadline_seconds =
+    sreq.base.spec.deadline_seconds =
         std::max(Remaining(state.start, state.budget) *
                      options_.shard_deadline_fraction,
                  1e-3);
@@ -422,10 +422,10 @@ StatusOr<DistSearchResult> S4Coordinator::Search(
         next_request_id_.fetch_add(1, std::memory_order_relaxed));
   }
 
-  MergeState state(n, request.k, request.approx_epsilon);
+  MergeState state(n, request.spec.k, request.spec.approx_epsilon);
   state.start = std::chrono::steady_clock::now();
-  state.budget = request.deadline_seconds > 0.0
-                     ? request.deadline_seconds
+  state.budget = request.spec.deadline_seconds > 0.0
+                     ? request.spec.deadline_seconds
                      : options_.request_timeout_seconds;
   state.trace = trace.get();
 
@@ -479,9 +479,9 @@ StatusOr<DistSearchResult> S4Coordinator::Search(
     }
     result.approximate |= state.relaxed_stop;
     std::sort(merged.begin(), merged.end(), MergeBefore);
-    if (request.k >= 0 &&
-        merged.size() > static_cast<size_t>(request.k)) {
-      merged.resize(static_cast<size_t>(request.k));
+    if (request.spec.k >= 0 &&
+        merged.size() > static_cast<size_t>(request.spec.k)) {
+      merged.resize(static_cast<size_t>(request.spec.k));
     }
     result.topk = std::move(merged);
     result.partials_received = state.partials_received;

@@ -82,7 +82,7 @@ inline bool IsValidFrameType(uint8_t t) {
          t <= static_cast<uint8_t>(FrameType::kSlowLogResponse);
 }
 
-// Decode-side cap on NetShardSearchRequest::shard_count: far above any
+// Decode-side cap on a shard request's spec.shard_count: far above any
 // deployment this code targets, small enough that a hostile frame cannot
 // claim an absurd topology.
 inline constexpr int32_t kMaxWireShards = 1024;

@@ -172,7 +172,6 @@ void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
   sreq.options = req.ToSearchOptions();
   sreq.strategy = req.ToStrategy();
   sreq.priority = req.priority;
-  sreq.deadline_seconds = req.deadline_seconds;
   sreq.cells = std::move(req.cells);
   if (options_.enable_tracing) {
     sreq.trace = std::make_shared<obs::Trace>("search");
@@ -279,11 +278,8 @@ void S4Server::DispatchShardSearch(const std::shared_ptr<Connection>& conn,
   const auto start = std::chrono::steady_clock::now();
   ServiceRequest sreq;
   sreq.options = req.base.ToSearchOptions();
-  sreq.options.shard_count = req.shard_count;
-  sreq.options.shard_index = req.shard_index;
   sreq.strategy = req.base.ToStrategy();
   sreq.priority = req.base.priority;
-  sreq.deadline_seconds = req.base.deadline_seconds;
   sreq.cells = std::move(req.base.cells);
   // A coordinator asking for a stitched timeline (want_trace) gets a
   // per-request trace regardless of this server's own tracing flag —

@@ -177,7 +177,7 @@ Status DecodeFrameHeader(std::string_view buf, FrameHeader* h) {
 
 NetSearchRequest NetSearchRequest::From(
     std::vector<std::vector<std::string>> cells, const SearchOptions& options,
-    S4System::Strategy strategy, int32_t priority, double deadline_seconds) {
+    S4System::Strategy strategy, int32_t priority) {
   NetSearchRequest req;
   req.cells = std::move(cells);
   switch (strategy) {
@@ -192,40 +192,13 @@ NetSearchRequest NetSearchRequest::From(
       break;
   }
   req.priority = priority;
-  req.deadline_seconds = deadline_seconds;
-  req.k = options.k;
-  req.alpha = options.score.alpha;
-  req.epsilon = options.epsilon;
-  req.use_idf = options.score.use_idf;
-  req.exact_match_bonus = options.score.exact_match_bonus;
-  req.spelling_edits = options.score.spelling_edits;
-  req.drop_zero_rows = options.drop_zero_rows;
-  req.num_threads = options.num_threads;
-  req.max_tree_size = options.enumeration.max_tree_size;
-  req.cache_budget_bytes = options.cache_budget_bytes;
-  req.approx_epsilon = options.approx_epsilon;
-  req.approx_confidence = options.approx_confidence;
-  req.sample_budget = options.sample_budget;
-  req.rng_seed = options.rng_seed;
+  req.spec = options;
   return req;
 }
 
 SearchOptions NetSearchRequest::ToSearchOptions() const {
   SearchOptions options;
-  options.k = k;
-  options.score.alpha = alpha;
-  options.epsilon = epsilon;
-  options.score.use_idf = use_idf;
-  options.score.exact_match_bonus = exact_match_bonus;
-  options.score.spelling_edits = spelling_edits;
-  options.drop_zero_rows = drop_zero_rows;
-  options.num_threads = num_threads;
-  options.enumeration.max_tree_size = max_tree_size;
-  options.cache_budget_bytes = cache_budget_bytes;
-  options.approx_epsilon = approx_epsilon;
-  options.approx_confidence = approx_confidence;
-  options.sample_budget = sample_budget;
-  options.rng_seed = rng_seed;
+  static_cast<SearchSpec&>(options) = spec;
   return options;
 }
 
@@ -256,26 +229,30 @@ void AppendSearchRequestPayload(const NetSearchRequest& req, WireWriter* w) {
                                   : std::string_view());
     }
   }
+  const SearchSpec& spec = req.spec;
   w->PutU8(req.strategy);
   w->PutI32(req.priority);
-  w->PutDouble(req.deadline_seconds);
-  w->PutI32(req.k);
-  w->PutDouble(req.alpha);
-  w->PutDouble(req.epsilon);
-  w->PutU8(req.use_idf ? 1 : 0);
-  w->PutDouble(req.exact_match_bonus);
-  w->PutI32(req.spelling_edits);
-  w->PutU8(req.drop_zero_rows ? 1 : 0);
-  w->PutI32(req.num_threads);
-  w->PutI32(req.max_tree_size);
-  w->PutU64(req.cache_budget_bytes);
-  w->PutDouble(req.approx_epsilon);
-  w->PutDouble(req.approx_confidence);
-  w->PutI64(req.sample_budget);
-  w->PutU64(req.rng_seed);
+  w->PutDouble(spec.deadline_seconds);
+  w->PutI32(spec.k);
+  w->PutDouble(spec.score.alpha);
+  w->PutDouble(spec.epsilon);
+  w->PutU8(spec.score.use_idf ? 1 : 0);
+  w->PutDouble(spec.score.exact_match_bonus);
+  w->PutI32(spec.score.spelling_edits);
+  w->PutU8(spec.drop_zero_rows ? 1 : 0);
+  w->PutI32(spec.num_threads);
+  w->PutI32(spec.enumeration.max_tree_size);
+  w->PutU64(spec.cache_budget_bytes);
+  w->PutDouble(spec.approx_epsilon);
+  w->PutDouble(spec.approx_confidence);
+  w->PutI64(spec.sample_budget);
+  w->PutU64(spec.rng_seed);
   w->PutU8(req.want_profile ? 1 : 0);
 }
 
+// Reads the layout above into `req`, leaving the spec's shard slice as
+// the caller set it, then checks the spec: the wire limits here, the
+// rest by ValidateSearchSpec.
 Status ReadSearchRequestPayload(WireReader& r, NetSearchRequest* req) {
   uint32_t rows, cols;
   if (!r.ReadU32(&rows) || !r.ReadU32(&cols)) return Truncated("request");
@@ -291,42 +268,35 @@ Status ReadSearchRequestPayload(WireReader& r, NetSearchRequest* req) {
       if (!r.ReadString(&req->cells[t][c])) return Truncated("request cell");
     }
   }
-  uint8_t use_idf = 0, drop_zero = 0;
+  SearchSpec& spec = req->spec;
+  uint8_t use_idf = 0, drop_zero = 0, want_profile = 0;
+  uint64_t cache_budget = 0;
   if (!r.ReadU8(&req->strategy) || !r.ReadI32(&req->priority) ||
-      !r.ReadDouble(&req->deadline_seconds) || !r.ReadI32(&req->k) ||
-      !r.ReadDouble(&req->alpha) || !r.ReadDouble(&req->epsilon) ||
-      !r.ReadU8(&use_idf) || !r.ReadDouble(&req->exact_match_bonus) ||
-      !r.ReadI32(&req->spelling_edits) || !r.ReadU8(&drop_zero) ||
-      !r.ReadI32(&req->num_threads) || !r.ReadI32(&req->max_tree_size) ||
-      !r.ReadU64(&req->cache_budget_bytes) ||
-      !r.ReadDouble(&req->approx_epsilon) ||
-      !r.ReadDouble(&req->approx_confidence) ||
-      !r.ReadI64(&req->sample_budget) || !r.ReadU64(&req->rng_seed)) {
+      !r.ReadDouble(&spec.deadline_seconds) || !r.ReadI32(&spec.k) ||
+      !r.ReadDouble(&spec.score.alpha) || !r.ReadDouble(&spec.epsilon) ||
+      !r.ReadU8(&use_idf) || !r.ReadDouble(&spec.score.exact_match_bonus) ||
+      !r.ReadI32(&spec.score.spelling_edits) || !r.ReadU8(&drop_zero) ||
+      !r.ReadI32(&spec.num_threads) ||
+      !r.ReadI32(&spec.enumeration.max_tree_size) ||
+      !r.ReadU64(&cache_budget) || !r.ReadDouble(&spec.approx_epsilon) ||
+      !r.ReadDouble(&spec.approx_confidence) ||
+      !r.ReadI64(&spec.sample_budget) || !r.ReadU64(&spec.rng_seed) ||
+      !r.ReadU8(&want_profile)) {
     return Truncated("request options");
   }
-  uint8_t want_profile = 0;
-  if (!r.ReadU8(&want_profile)) return Truncated("request options");
+  spec.score.use_idf = use_idf != 0;
+  spec.drop_zero_rows = drop_zero != 0;
+  spec.cache_budget_bytes = static_cast<size_t>(cache_budget);
   req->want_profile = want_profile != 0;
-  req->use_idf = use_idf != 0;
-  req->drop_zero_rows = drop_zero != 0;
   if (req->strategy > kWireStrategyFastTopK) {
     return Status::InvalidArgument(
         StrFormat("unknown strategy %u", req->strategy));
   }
-  // Mirror the ValidateSearchOptions invariants at the decode boundary
-  // so a hostile frame cannot carry NaN/out-of-range approx knobs into
-  // the service (the doubles travel as raw bits, so anything encodes).
-  if (!(req->approx_epsilon >= 0.0) ||
-      req->approx_epsilon > kMaxWireApproxEpsilon) {
-    return Status::InvalidArgument("request approx_epsilon out of range");
+  if (spec.approx_epsilon > kMaxWireApproxEpsilon ||
+      spec.sample_budget > kMaxWireSampleBudget) {
+    return Status::InvalidArgument("request approx knobs exceed wire limits");
   }
-  if (!(req->approx_confidence > 0.0) || req->approx_confidence > 1.0) {
-    return Status::InvalidArgument("request approx_confidence out of range");
-  }
-  if (req->sample_budget < 1 || req->sample_budget > kMaxWireSampleBudget) {
-    return Status::InvalidArgument("request sample_budget out of range");
-  }
-  return Status::OK();
+  return ValidateSearchSpec(spec);
 }
 
 }  // namespace
@@ -536,8 +506,8 @@ Status DecodeSearchResponse(std::string_view payload,
 std::string EncodeShardSearchRequestFrame(const NetShardSearchRequest& req,
                                           uint64_t request_id) {
   WireWriter w;
-  w.PutI32(req.shard_count);
-  w.PutI32(req.shard_index);
+  w.PutI32(req.base.spec.shard_count);
+  w.PutI32(req.base.spec.shard_index);
   w.PutU32(req.partial_every);
   w.PutU8(req.want_trace ? 1 : 0);
   w.PutU64(req.trace_id);
@@ -550,19 +520,17 @@ std::string EncodeShardSearchRequestFrame(const NetShardSearchRequest& req,
 Status DecodeShardSearchRequest(std::string_view payload,
                                 NetShardSearchRequest* req) {
   WireReader r(payload);
-  if (!r.ReadI32(&req->shard_count) || !r.ReadI32(&req->shard_index) ||
+  // The slice lands in the spec, checked with the rest of it once the
+  // base payload is read; only the wire cap is checked here.
+  SearchSpec& spec = req->base.spec;
+  if (!r.ReadI32(&spec.shard_count) || !r.ReadI32(&spec.shard_index) ||
       !r.ReadU32(&req->partial_every)) {
     return Truncated("shard request");
   }
-  if (req->shard_count < 1 || req->shard_count > kMaxWireShards) {
+  if (spec.shard_count > kMaxWireShards) {
     return Status::InvalidArgument(
-        StrFormat("shard_count %d outside [1, %d]", req->shard_count,
+        StrFormat("shard_count %d over the wire limit %d", spec.shard_count,
                   kMaxWireShards));
-  }
-  if (req->shard_index < 0 || req->shard_index >= req->shard_count) {
-    return Status::InvalidArgument(
-        StrFormat("shard_index %d outside [0, %d)", req->shard_index,
-                  req->shard_count));
   }
   uint8_t want_trace = 0;
   if (!r.ReadU8(&want_trace) || !r.ReadU64(&req->trace_id) ||

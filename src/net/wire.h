@@ -39,34 +39,20 @@ Status DecodeFrameHeader(std::string_view buf, FrameHeader* h);
 // --- messages ----------------------------------------------------------
 
 // A search request as it travels on the wire: raw spreadsheet cells plus
-// the SearchOptions subset a remote caller may set. Everything else
-// (pool, stop token, shared cache) is service-side plumbing that never
-// crosses the network.
+// the asked-for half of SearchOptions. Everything else (pool, stop
+// token, shared cache) is service-side plumbing that never crosses the
+// network.
 struct NetSearchRequest {
   std::vector<std::vector<std::string>> cells;
   uint8_t strategy = kWireStrategyFastTopK;
   int32_t priority = 0;
-  // Armed server-side at frame arrival, so it covers queue wait but not
-  // client-side network time.
-  double deadline_seconds = 0.0;
-
-  int32_t k = 10;
-  double alpha = 0.8;
-  double epsilon = 0.6;
-  bool use_idf = false;
-  double exact_match_bonus = 0.0;
-  int32_t spelling_edits = 0;
-  bool drop_zero_rows = false;
-  int32_t num_threads = 0;
-  int32_t max_tree_size = 5;
-  uint64_t cache_budget_bytes = 500u << 20;
-  // Anytime approximate search knobs (v2 fields; SearchOptions mirror).
-  // Decode enforces the same invariants as ValidateSearchOptions, so a
-  // hostile frame cannot smuggle NaN/negative knobs past the boundary.
-  double approx_epsilon = 0.0;
-  double approx_confidence = 0.95;
-  int64_t sample_budget = 4096;
-  uint64_t rng_seed = 0x5344534453445344ULL;
+  // Of `enumeration` only max_tree_size travels, and the shard slice
+  // travels only on kShardSearchRequest; the rest decode as defaults.
+  // The deadline is armed server-side at admission, so it covers queue
+  // wait but not client-side network time. Decode runs
+  // ValidateSearchSpec, so a hostile frame cannot smuggle NaN or
+  // out-of-range values past the boundary.
+  SearchSpec spec;
   // v3: ask the server to attach its QueryProfile to the response.
   bool want_profile = false;
 
@@ -79,10 +65,8 @@ struct NetSearchRequest {
   static NetSearchRequest From(std::vector<std::vector<std::string>> cells,
                                const SearchOptions& options,
                                S4System::Strategy strategy,
-                               int32_t priority = 0,
-                               double deadline_seconds = 0.0);
-  // Expands the wire subset back into SearchOptions (fields not on the
-  // wire keep their defaults).
+                               int32_t priority = 0);
+  // The spec as SearchOptions, with no in-process execution fields set.
   SearchOptions ToSearchOptions() const;
   S4System::Strategy ToStrategy() const;
 };
@@ -149,13 +133,11 @@ struct NetError {
 
 // --- scatter-gather shard exchange -------------------------------------
 
-// A coordinator-to-shard search: the plain search request plus the
-// candidate-space slice this shard must own for the exchange and the
-// partial-streaming cadence.
+// A coordinator-to-shard search: the plain search request, whose spec
+// names the candidate-space slice this shard must own, plus the
+// partial-streaming cadence for the exchange.
 struct NetShardSearchRequest {
   NetSearchRequest base;
-  int32_t shard_count = 1;
-  int32_t shard_index = 0;
   // Stream a kShardPartial every this many strategy progress snapshots;
   // 0 = no partials, just the final kShardDone.
   uint32_t partial_every = 1;

@@ -15,7 +15,7 @@ StatusOr<std::unique_ptr<S4System>> S4System::Create(
 StatusOr<SearchResult> S4System::Search(
     const std::vector<std::vector<std::string>>& cells,
     const SearchOptions& options, Strategy strategy) const {
-  S4_RETURN_IF_ERROR(ValidateSearchOptions(options));
+  S4_RETURN_IF_ERROR(ValidateSearchSpec(options));
   auto sheet = MakeSpreadsheet(cells);
   if (!sheet.ok()) return sheet.status();
   S4_RETURN_IF_ERROR(sheet->Validate());

@@ -142,12 +142,7 @@ std::string S4Service::CachePrefix(
 }
 
 Status S4Service::Admit(std::shared_ptr<Pending> pending) {
-  S4_RETURN_IF_ERROR(ValidateSearchOptions(pending->request.options));
-  if (pending->request.deadline_seconds < 0.0) {
-    return Status::InvalidArgument(
-        StrFormat("deadline_seconds must be non-negative, got %f",
-                  pending->request.deadline_seconds));
-  }
+  S4_RETURN_IF_ERROR(ValidateSearchSpec(pending->request.options));
   if (options_.shard_count > 0 &&
       (pending->request.options.shard_count != options_.shard_count ||
        pending->request.options.shard_index != options_.shard_index)) {
@@ -160,10 +155,9 @@ Status S4Service::Admit(std::shared_ptr<Pending> pending) {
   }
   pending->stop = std::make_shared<StopToken>();
   pending->admitted = std::chrono::steady_clock::now();
-  // Deadline resolution: request > options > service default. Armed at
-  // admission so queue wait counts against it.
-  double deadline = pending->request.deadline_seconds;
-  if (deadline <= 0.0) deadline = pending->request.options.deadline_seconds;
+  // Deadline resolution: the request's own, else the service default.
+  // Armed at admission so queue wait counts against it.
+  double deadline = pending->request.options.deadline_seconds;
   if (deadline <= 0.0) deadline = options_.default_deadline_seconds;
   if (deadline > 0.0) pending->stop->SetDeadline(deadline);
   {
@@ -409,7 +403,7 @@ std::string S4Service::SlowLogJson() const {
 }
 
 StatusOr<uint64_t> S4Service::OpenSession(SearchOptions options) {
-  S4_RETURN_IF_ERROR(ValidateSearchOptions(options));
+  S4_RETURN_IF_ERROR(ValidateSearchSpec(options));
   // Sessions share the service pool; per-call fields (stop token, cache
   // prefix) are re-pointed by SessionSearch under the session lock.
   options.pool = pool_.get();

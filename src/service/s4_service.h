@@ -71,9 +71,6 @@ struct ServiceRequest {
   S4System::Strategy strategy = S4System::Strategy::kFastTopK;
   // Higher runs first; FIFO among equal priorities.
   int32_t priority = 0;
-  // Overrides options.deadline_seconds (and the service default) when
-  // positive. Measured from admission, covering queue wait.
-  double deadline_seconds = 0.0;
   // Per-request trace sink: when set, the service records queue-wait
   // and search spans into it (and points options.trace at it for the
   // strategy/evaluator spans). Shared so the caller can keep the trace

@@ -98,12 +98,14 @@ class FastTopKRun {
         result_.interrupted = true;
         break;
       }
-      // Batch j covers candidates up to rank k*(1+eps)^j (Alg 3).
-      const double bound =
-          static_cast<double>(options_.k) *
-          std::pow(1.0 + options_.epsilon, static_cast<double>(batch_index));
-      size_t end = std::min(
-          n, std::max(next + 1, static_cast<size_t>(std::ceil(bound))));
+      // Batch j covers candidates up to rank k*(1+eps)^j (Alg 3), clamped
+      // to n before the cast: a large epsilon overflows size_t.
+      const double bound = std::min(
+          static_cast<double>(n),
+          std::ceil(static_cast<double>(options_.k) *
+                    std::pow(1.0 + options_.epsilon,
+                             static_cast<double>(batch_index))));
+      size_t end = std::min(n, std::max(next + 1, static_cast<size_t>(bound)));
       {
         obs::SpanTimer span(options_.trace, "fasttopk", "batch");
         if (span.enabled()) {

@@ -1,6 +1,8 @@
 #include "strategy/strategy.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "common/hash_util.h"
 #include "common/string_util.h"
@@ -12,57 +14,83 @@
 
 namespace s4 {
 
-Status ValidateSearchOptions(const SearchOptions& options) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("k must be positive, got %d", options.k));
+Status ValidateSearchSpec(const SearchSpec& spec) {
+  // Every double field first: NaN slips through ordinary range
+  // comparisons, and an infinite epsilon or deadline reaches size_t and
+  // nanosecond casts downstream.
+  const std::pair<const char*, double> doubles[] = {
+      {"alpha", spec.score.alpha},
+      {"exact_match_bonus", spec.score.exact_match_bonus},
+      {"epsilon", spec.epsilon},
+      {"deadline_seconds", spec.deadline_seconds},
+      {"approx_epsilon", spec.approx_epsilon},
+      {"approx_confidence", spec.approx_confidence}};
+  for (const auto& [name, v] : doubles) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          StrFormat("%s must be finite, got %f", name, v));
+    }
   }
-  if (options.cache_budget_bytes == 0) {
+  if (spec.k <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("k must be positive, got %d", spec.k));
+  }
+  if (spec.cache_budget_bytes == 0) {
     return Status::InvalidArgument("cache_budget_bytes must be positive");
   }
-  if (!(options.epsilon > 0.0)) {
+  if (spec.epsilon <= 0.0) {
     return Status::InvalidArgument(
-        StrFormat("epsilon must be positive, got %f", options.epsilon));
+        StrFormat("epsilon must be positive, got %f", spec.epsilon));
   }
-  if (options.deadline_seconds < 0.0) {
+  if (spec.deadline_seconds < 0.0) {
     return Status::InvalidArgument(
         StrFormat("deadline_seconds must be non-negative, got %f",
-                  options.deadline_seconds));
+                  spec.deadline_seconds));
   }
-  if (options.score.alpha < 0.0 || options.score.alpha > 1.0) {
+  if (spec.score.alpha < 0.0 || spec.score.alpha > 1.0) {
     return Status::InvalidArgument(
-        StrFormat("alpha must be in [0, 1], got %f", options.score.alpha));
+        StrFormat("alpha must be in [0, 1], got %f", spec.score.alpha));
   }
-  if (options.approx_epsilon < 0.0) {
+  if (spec.score.spelling_edits < 0) {
+    return Status::InvalidArgument(
+        StrFormat("spelling_edits must be non-negative, got %d",
+                  spec.score.spelling_edits));
+  }
+  if (spec.enumeration.max_tree_size < 1) {
+    return Status::InvalidArgument(
+        StrFormat("max_tree_size must be >= 1, got %d",
+                  spec.enumeration.max_tree_size));
+  }
+  if (spec.approx_epsilon < 0.0) {
     return Status::InvalidArgument(
         StrFormat("approx_epsilon must be non-negative, got %f",
-                  options.approx_epsilon));
+                  spec.approx_epsilon));
   }
-  if (!(options.approx_confidence > 0.0) || options.approx_confidence > 1.0) {
+  if (spec.approx_confidence <= 0.0 || spec.approx_confidence > 1.0) {
     return Status::InvalidArgument(
         StrFormat("approx_confidence must be in (0, 1], got %f",
-                  options.approx_confidence));
+                  spec.approx_confidence));
   }
-  if (options.sample_budget <= 0) {
+  if (spec.sample_budget <= 0) {
     return Status::InvalidArgument(
         StrFormat("sample_budget must be positive, got %lld",
-                  static_cast<long long>(options.sample_budget)));
+                  static_cast<long long>(spec.sample_budget)));
   }
-  if (options.approx_epsilon > 0.0 && options.drop_zero_rows) {
+  if (spec.approx_epsilon > 0.0 && spec.drop_zero_rows) {
     // The sampler mirrors the evaluator's keep-zero-rows inner-join
     // semantics; the drop-zero ablation would make its lower bounds
     // unsound.
     return Status::InvalidArgument(
         "approx_epsilon > 0 is incompatible with drop_zero_rows");
   }
-  if (options.shard_count < 1) {
+  if (spec.shard_count < 1) {
     return Status::InvalidArgument(
-        StrFormat("shard_count must be >= 1, got %d", options.shard_count));
+        StrFormat("shard_count must be >= 1, got %d", spec.shard_count));
   }
-  if (options.shard_index < 0 || options.shard_index >= options.shard_count) {
+  if (spec.shard_index < 0 || spec.shard_index >= spec.shard_count) {
     return Status::InvalidArgument(
         StrFormat("shard_index must be in [0, %d), got %d",
-                  options.shard_count, options.shard_index));
+                  spec.shard_count, spec.shard_index));
   }
   return Status::OK();
 }
@@ -233,15 +261,11 @@ void FinishRun(const PreparedSearch& prep, const WallTimer& timer,
 }
 
 Executor::Executor(const SearchOptions& options, size_t work_items) {
-  if (options.num_threads > 0) {
-    workers_ = options.num_threads;
-  } else {
-    workers_ = options.pool != nullptr ? options.pool->num_threads()
-                                       : ThreadPool::DefaultThreads();
-  }
-  if (options.pool != nullptr) {
-    workers_ = std::min(workers_, options.pool->num_threads());
-  }
+  // The injected pool's size, else the machine's: the auto count and the
+  // cap on an explicit one.
+  const int32_t cap = options.pool != nullptr ? options.pool->num_threads()
+                                              : ThreadPool::DefaultThreads();
+  workers_ = options.num_threads > 0 ? std::min(options.num_threads, cap) : cap;
   if (work_items <= 1 || workers_ <= 1) return;
   if (options.pool != nullptr) {
     pool_ = options.pool;

@@ -27,8 +27,10 @@ class Trace;
 class ThreadPool;
 struct SearchProgress;
 
-// End-to-end search configuration (defaults follow Table 2).
-struct SearchOptions {
+// What a search asks for: every field that decides which answers come
+// back (defaults follow Table 2). The wire carries it as
+// NetSearchRequest::spec, and ValidateSearchSpec is its one checker.
+struct SearchSpec {
   int32_t k = 10;
   ScoreParams score;                       // alpha = 0.8 default
   double epsilon = 0.6;                    // batch growth factor (Alg 3)
@@ -38,10 +40,12 @@ struct SearchOptions {
   bool drop_zero_rows = false;
   // Worker threads for Stage-II candidate evaluation, the online
   // bottleneck (Fig 5): 0 = auto (the injected pool's size, else
-  // std::thread::hardware_concurrency()); 1 = evaluate inline on the
-  // search thread, the paper's serial schedule. Candidate evaluations are
-  // independent given the shared sub-PJ cache, so any thread count
-  // returns the same top-k set and scores (Thms 3-5), and NAIVE/BASELINE
+  // ThreadPool::DefaultThreads()); 1 = evaluate inline on the search
+  // thread, the paper's serial schedule. A count above the injected
+  // pool's size, or above DefaultThreads() when no pool is injected, is
+  // clamped to it. Candidate evaluations are independent given the
+  // shared sub-PJ cache, so any thread count returns the same top-k set
+  // and scores (Thms 3-5), and NAIVE/BASELINE
   // reproduce every serial counter. FASTTOPK's skip decisions are frozen
   // per fan-out, so its skipping-condition hits may differ from the
   // serial run but are deterministic for a fixed thread count; its cache
@@ -50,32 +54,12 @@ struct SearchOptions {
   // and can differ between two runs of the same parallel search. See
   // DESIGN.md "Parallel evaluation model".
   int32_t num_threads = 0;
-
-  // --- service-layer plumbing (DESIGN.md "Service layer") -------------
-  // Shared evaluation pool: when set, strategies fan out on it instead
-  // of constructing a pool per call (num_threads = 1 still evaluates
-  // inline; 0 resolves to the pool's size, and a count above it is
-  // clamped to it). Not owned.
-  ThreadPool* pool = nullptr;
-  // Cooperative cancellation/deadline, polled at strategy batch/group
-  // boundaries; on observation the run returns its partial top-k with
-  // SearchResult::interrupted set. Not owned.
-  const StopToken* stop = nullptr;
-  // Deadline for this search in seconds (0 = none). Honored by the
-  // StatusOr entry points (S4System::Search over raw cells, S4Service),
-  // which arm a StopToken when `stop` is not already provided.
+  // Deadline for this search in seconds (0 = none; S4Service then uses
+  // its default). Honored by the StatusOr entry points (S4System::Search
+  // over raw cells, S4Service), which arm a StopToken when `stop` is not
+  // already provided. 1e9 s or more means no deadline
+  // (StopToken::SetDeadline).
   double deadline_seconds = 0.0;
-  // Cross-query shared sub-PJ cache (service layer): attached behind the
-  // per-run FASTTOPK cache under `shared_cache_prefix`, which must make
-  // keys canonical across requests (epoch + spreadsheet/score-parameter
-  // fingerprint). Not owned.
-  SubQueryCache* shared_cache = nullptr;
-  std::string shared_cache_prefix;
-  // Per-search trace sink (DESIGN.md "Observability"): when set, the
-  // run records Stage-I/Stage-II/cache spans into it. Null (the
-  // default) keeps the hot path span-free — a single pointer test per
-  // site. Not owned; must outlive the search.
-  obs::Trace* trace = nullptr;
 
   // --- distributed serving (DESIGN.md "Distributed serving") ----------
   // Candidate-space sharding: the run keeps only the candidates whose
@@ -106,7 +90,31 @@ struct SearchOptions {
   // from rng_seed ^ FingerprintString(signature), so estimates are
   // reproducible across thread counts, shard slicings, and runs).
   uint64_t rng_seed = 0x5344534453445344ULL;
+};
 
+// End-to-end search configuration: the spec plus how this process runs
+// it (DESIGN.md "Service layer"). None of these fields crosses the wire.
+struct SearchOptions : SearchSpec {
+  // Shared evaluation pool: when set, strategies fan out on it instead
+  // of constructing a pool per call (num_threads = 1 still evaluates
+  // inline; 0 resolves to the pool's size, and a count above it is
+  // clamped to it). Not owned.
+  ThreadPool* pool = nullptr;
+  // Cooperative cancellation/deadline, polled at strategy batch/group
+  // boundaries; on observation the run returns its partial top-k with
+  // SearchResult::interrupted set. Not owned.
+  const StopToken* stop = nullptr;
+  // Cross-query shared sub-PJ cache (service layer): attached behind the
+  // per-run FASTTOPK cache under `shared_cache_prefix`, which must make
+  // keys canonical across requests (epoch + spreadsheet/score-parameter
+  // fingerprint). Not owned.
+  SubQueryCache* shared_cache = nullptr;
+  std::string shared_cache_prefix;
+  // Per-search trace sink (DESIGN.md "Observability"): when set, the
+  // run records Stage-I/Stage-II/cache spans into it. Null (the
+  // default) keeps the hot path span-free — a single pointer test per
+  // site. Not owned; must outlive the search.
+  obs::Trace* trace = nullptr;
   // Incremental progress sink: when set, strategies call it at batch /
   // block boundaries with the current top-k snapshot and the upper
   // bound of everything not yet evaluated. Runs on the search thread
@@ -121,11 +129,14 @@ struct SearchOptions {
 // across processes and platforms.
 int32_t ShardOfSignature(std::string_view signature, int32_t shard_count);
 
-// Rejects nonsensical configurations (non-positive k, zero byte budget,
-// non-positive epsilon, negative deadline, alpha outside [0, 1]) with
-// InvalidArgument. Checked at the S4System / S4Service boundary so bad
-// values fail loudly instead of relying on downstream behavior.
-Status ValidateSearchOptions(const SearchOptions& options);
+// Rejects nonsensical specs with InvalidArgument: non-positive k, zero
+// byte budget, non-positive epsilon, negative deadline, alpha outside
+// [0, 1], max_tree_size < 1, negative spelling_edits, a NaN or infinite
+// value in any double field, out-of-range approx knobs and a slice
+// outside [0, shard_count). The one checker: S4System::Search, S4Service
+// (Admit, OpenSession) and the wire decoder all call it, so bad values
+// fail loudly at every entry instead of relying on downstream behavior.
+Status ValidateSearchSpec(const SearchSpec& spec);
 
 // One ranked answer.
 struct ScoredQuery {

@@ -78,8 +78,9 @@ inline bool StopRequested(const SearchOptions& options) {
 // Runs a strategy's Stage-II fan-outs. The worker count is resolved
 // once from SearchOptions::num_threads: <= 0 means auto (the injected
 // pool's size, else one worker per hardware thread), and a count above
-// the injected pool's size is clamped to it, since that pool cannot run
-// more at once. ParallelFor runs on the injected pool (the service's
+// that size is clamped to it, since that pool cannot run more at once
+// and a per-run pool must not start more threads than the machine has.
+// ParallelFor runs on the injected pool (the service's
 // shared one), on a pool built for this run, or inline on the search
 // thread when the run has one worker or at most one work item.
 //

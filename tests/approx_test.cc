@@ -66,41 +66,41 @@ std::vector<std::vector<std::string>> RandomCells(Rng& rng,
 
 TEST(ApproxOptionsTest, ValidateRejectsBadApproxKnobs) {
   SearchOptions ok;
-  EXPECT_TRUE(ValidateSearchOptions(ok).ok());
+  EXPECT_TRUE(ValidateSearchSpec(ok).ok());
 
   SearchOptions on = ok;
   on.approx_epsilon = 0.05;
-  EXPECT_TRUE(ValidateSearchOptions(on).ok());
+  EXPECT_TRUE(ValidateSearchSpec(on).ok());
   on.approx_confidence = 1.0;
   on.sample_budget = 1;
-  EXPECT_TRUE(ValidateSearchOptions(on).ok());
+  EXPECT_TRUE(ValidateSearchSpec(on).ok());
 
   SearchOptions bad = ok;
   bad.approx_epsilon = -0.01;
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
 
   bad = ok;
   bad.approx_confidence = 0.0;
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
   bad.approx_confidence = 1.5;
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
   bad.approx_confidence = std::nan("");
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
 
   bad = ok;
   bad.sample_budget = 0;
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
   bad.sample_budget = -7;
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
 
   // The sampler mirrors keep-zero-rows join semantics; the drop-zero
   // ablation would make its certain lower bounds unsound.
   bad = ok;
   bad.approx_epsilon = 0.1;
   bad.drop_zero_rows = true;
-  EXPECT_EQ(ValidateSearchOptions(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateSearchSpec(bad).code(), StatusCode::kInvalidArgument);
   bad.approx_epsilon = 0.0;
-  EXPECT_TRUE(ValidateSearchOptions(bad).ok());
+  EXPECT_TRUE(ValidateSearchSpec(bad).ok());
 }
 
 // --- JoinSampler estimator contract ------------------------------------

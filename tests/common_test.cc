@@ -1,5 +1,6 @@
 // Common substrate tests: Status/StatusOr, string utils, RNG, top-k
 // heap, table printer.
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,17 @@ TEST(StopTokenTest, CancelAndDeadline) {
 
   StopToken future(3600.0);
   EXPECT_FALSE(future.ShouldStop());
+
+  // Past about 9.2e9 s the nanosecond conversion would overflow; such a
+  // deadline (and infinity) means no deadline, not an expired one, and
+  // re-arming with one clears an earlier deadline.
+  for (double seconds : {1e9, 1e12, 1e300,
+                         std::numeric_limits<double>::infinity()}) {
+    StopToken huge(seconds);
+    EXPECT_FALSE(huge.deadline_expired()) << seconds;
+    expired.SetDeadline(seconds);
+    EXPECT_FALSE(expired.ShouldStop()) << seconds;
+  }
 }
 
 TEST(LatencyHistogramTest, EmptySnapshot) {

@@ -165,15 +165,12 @@ TEST(DistShardingTest, ShardOfSignatureIsStableAndInRange) {
 // Shard-aware admission: a service locked to slice 2-of-4 must reject a
 // request targeting any other slice with FailedPrecondition, loudly.
 TEST(DistShardingTest, MisroutedSliceRejectedAtAdmission) {
-  const S4System& system = *[] {
-    auto s = S4System::Create(s4::testing::TpchDb());
-    if (!s.ok()) abort();
-    return s->release();
-  }();
+  auto system = S4System::Create(s4::testing::TpchDb());
+  ASSERT_TRUE(system.ok()) << system.status();
   ServiceOptions sopts;
   sopts.shard_count = 4;
   sopts.shard_index = 2;
-  S4Service service(system, sopts);
+  S4Service service(**system, sopts);
 
   auto submit = [&](int32_t count, int32_t index) {
     ServiceRequest req;

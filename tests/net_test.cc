@@ -7,6 +7,7 @@
 // retryable error, and the absence of fd leaks across all of it.
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -316,13 +317,28 @@ TEST(NetProtocolTest, DeadlineExceededMapsToTypedStatus) {
     h.service->Resume();
   });
   S4Client client(h.MakeClientOptions());
+  SearchOptions timed = BaseOptions();
+  timed.deadline_seconds = 1e-6;
   NetSearchRequest req = NetSearchRequest::From(
-      TestSheets()[0], BaseOptions(), S4System::Strategy::kFastTopK,
-      /*priority=*/0, /*deadline_seconds=*/1e-6);
+      TestSheets()[0], timed, S4System::Strategy::kFastTopK);
   auto result = client.Search(req);
   resumer.join();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(IsRetryable(result.status().code()));
+}
+
+TEST(NetProtocolTest, NanAlphaRejectedAsInvalidArgument) {
+  // Doubles travel as raw bits, so a NaN alpha encodes fine; the decoder
+  // must refuse it instead of answering with a top-k scored NaN.
+  ServerHarness h;
+  S4Client client(h.MakeClientOptions());
+  SearchOptions options = BaseOptions();
+  options.score.alpha = std::numeric_limits<double>::quiet_NaN();
+  auto result = client.Search(NetSearchRequest::From(
+      TestSheets()[0], options, S4System::Strategy::kFastTopK));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(IsRetryable(result.status().code()));
 }
 

@@ -247,7 +247,7 @@ TEST(ServiceDeadlineTest, TinyDeadlineFailsWithoutCorruptingCache) {
     ServiceRequest req;
     req.cells = cells;
     req.options = options;
-    req.deadline_seconds = 1e-9;
+    req.options.deadline_seconds = 1e-9;
     auto ticket = service.Submit(std::move(req));
     ASSERT_TRUE(ticket.ok()) << ticket.status();
     ticket->stop->SetDeadline(-1.0);  // provably expired while queued
@@ -294,15 +294,38 @@ TEST(ServiceDeadlineTest, SystemLevelDeadlineHonored) {
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status();
 }
 
+TEST(ServiceDeadlineTest, HugeDeadlineMeansNoDeadline) {
+  // A finite deadline past the clock's range saturates to none instead
+  // of overflowing into an already-expired token; infinity is not a
+  // deadline at all and is rejected.
+  for (double deadline : {1e12, 1e300}) {
+    SearchOptions options = BaseOptions();
+    options.deadline_seconds = deadline;
+    auto r = System().Search(TestSheets()[0], options,
+                             S4System::Strategy::kFastTopK);
+    ASSERT_TRUE(r.ok()) << deadline << ": " << r.status();
+    EXPECT_FALSE(r->topk.empty());
+    S4Service service(System());
+    ServiceRequest req;
+    req.cells = TestSheets()[0];
+    req.options = options;
+    auto s = service.Search(std::move(req));
+    ASSERT_TRUE(s.ok()) << deadline << ": " << s.status();
+  }
+  SearchOptions options = BaseOptions();
+  options.deadline_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(System().Search(TestSheets()[0], options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ServiceValidationTest, BadOptionsRejectedAtTheBoundary) {
   S4Service service(System());
   const Cells cells = TestSheets()[0];
 
-  auto submit = [&](SearchOptions options, double deadline = 0.0) {
+  auto submit = [&](SearchOptions options) {
     ServiceRequest req;
     req.cells = cells;
     req.options = std::move(options);
-    req.deadline_seconds = deadline;
     return service.Submit(std::move(req)).status();
   };
 
@@ -323,12 +346,22 @@ TEST(ServiceValidationTest, BadOptionsRejectedAtTheBoundary) {
   SearchOptions bad_deadline = BaseOptions();
   bad_deadline.deadline_seconds = -1.0;
   EXPECT_EQ(submit(bad_deadline).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(submit(BaseOptions(), -0.5).code(),
-            StatusCode::kInvalidArgument);
+  bad_deadline.deadline_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(submit(bad_deadline).code(), StatusCode::kInvalidArgument);
 
   SearchOptions bad_alpha = BaseOptions();
   bad_alpha.score.alpha = 1.5;
   EXPECT_EQ(submit(bad_alpha).code(), StatusCode::kInvalidArgument);
+  bad_alpha.score.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(submit(bad_alpha).code(), StatusCode::kInvalidArgument);
+
+  SearchOptions bad_tree = BaseOptions();
+  bad_tree.enumeration.max_tree_size = 0;
+  EXPECT_EQ(submit(bad_tree).code(), StatusCode::kInvalidArgument);
+
+  SearchOptions bad_edits = BaseOptions();
+  bad_edits.score.spelling_edits = -1;
+  EXPECT_EQ(submit(bad_edits).code(), StatusCode::kInvalidArgument);
 
   // The same validation guards the plain system boundary.
   EXPECT_EQ(System().Search(cells, bad_k).status().code(),
@@ -485,7 +518,9 @@ TEST(ServiceSessionTest, SessionsMatchFreshSearchesAndClose) {
   EXPECT_EQ(service.SessionSearch(*id, cells1).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(service.CloseSession(*id).code(), StatusCode::kNotFound);
-  EXPECT_EQ(service.OpenSession(SearchOptions{.k = -1}).status().code(),
+  SearchOptions bad_k;
+  bad_k.k = -1;
+  EXPECT_EQ(service.OpenSession(bad_k).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -2,6 +2,7 @@
 // (Thm 1, Thm 3), the minimal-evaluation-set property (Prop 5), the
 // termination condition, and the FASTTOPK scheduling bookkeeping —
 // including parameterized sweeps over k, alpha, epsilon and cache size.
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -9,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datagen/es_gen.h"
 #include "datagen/synthetic.h"
 #include "strategy/strategy.h"
+#include "strategy/strategy_internal.h"
 #include "tests/test_util.h"
 
 namespace s4 {
@@ -272,6 +275,32 @@ TEST(StrategyTest, NoMatchesGivesEmptyTopK) {
   SearchResult r = SearchFastTopK(TpchIndex(), TpchGraph(), *sheet, options);
   EXPECT_TRUE(r.topk.empty());
   EXPECT_EQ(r.profile.candidates_enumerated, 0);
+}
+
+TEST(StrategyTest, ThreadCountClampedWithoutAPool) {
+  // With no injected pool an oversized count is clamped to the machine,
+  // as a service clamps it to its pool. One work item builds no pool, so
+  // this starts no threads whatever the count.
+  SearchOptions options;
+  options.num_threads = std::numeric_limits<int32_t>::max();
+  EXPECT_LE(internal::Executor(options, /*work_items=*/1).workers(),
+            ThreadPool::DefaultThreads());
+}
+
+TEST(StrategyTest, HugeEpsilonMatchesNaive) {
+  // k * (1 + eps)^j overflows size_t for a large finite epsilon; the
+  // batch bound is clamped to the candidate count before the cast.
+  ExampleSpreadsheet sheet = Fig2aSheet(TpchIndex());
+  SearchOptions options;
+  options.k = 2;
+  options.epsilon = 1e300;
+  ASSERT_TRUE(ValidateSearchSpec(options).ok());
+  SearchResult fast = SearchFastTopK(TpchIndex(), TpchGraph(), sheet, options);
+  SearchResult naive = SearchNaive(TpchIndex(), TpchGraph(), sheet, options);
+  ASSERT_EQ(fast.topk.size(), naive.topk.size());
+  for (size_t i = 0; i < fast.topk.size(); ++i) {
+    EXPECT_EQ(fast.topk[i].score, naive.topk[i].score);
+  }
 }
 
 TEST(StrategyTest, StatsTimingSplitPopulated) {
